@@ -5,11 +5,12 @@ numeric option is validated before any numerics run; an invalid value exits
 with code 1 and a message naming the offending field.  Identical
 configurations (seeds included) produce byte-identical JSON and CSV output.
 
-Exit codes: 0 clean run; 1 parse/IO/config error; 2 failed positivity under
-``--expect-positive``; 3 precision escalation exhausted (the report is still
-written).  Sweep cells run in a process pool capped by the CUTJUMP_THREADS
-environment variable; per-cell failures land in the output rows and only an
-all-cell failure makes the exit code nonzero.
+Exit codes: 0 clean run; 1 parse/IO/config error, or input whose
+coefficients or energies fall outside the double range; 2 failed positivity
+under ``--expect-positive``.  JSON reports never contain NaN or Infinity.
+Sweep cells run in a process pool capped by the CUTJUMP_THREADS environment
+variable; per-cell failures land in the output rows and only an all-cell
+failure makes the exit code nonzero.
 """
 
 from __future__ import annotations
@@ -25,12 +26,11 @@ from pathlib import Path
 from . import corpus, moments, reconstruct, thermal
 from .errors import ConfigError, CutjumpError, InputError
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_POSITIVITY = 2
-EXIT_UNSTABLE = 3
 
 
 # --------------------------------------------------------------------------
@@ -50,8 +50,6 @@ class RunConfig:
     n_max: int = reconstruct.DEFAULT_N_MAX
     plateau_theta: float = 1e-3
     plateau_window: int = 5
-    precision_bits: int = reconstruct.DEFAULT_PRECISION_BITS
-    escalation_budget: int = 4
     output_dir: str = "cutjump_out"
     emit: str = "both"
     # moments-only knobs
@@ -78,10 +76,6 @@ class RunConfig:
             raise ConfigError("plateau-theta: must be > 0")
         if self.plateau_window < 2:
             raise ConfigError("plateau-window: must be >= 2")
-        if self.precision_bits < 64:
-            raise ConfigError("precision-bits: must be >= 64")
-        if self.escalation_budget < 0:
-            raise ConfigError("escalation-budget: must be >= 0")
         if self.emit not in ("json", "csv", "both"):
             raise ConfigError("emit: must be one of json, csv, both")
         if self.p_exponent is not None and self.p_exponent <= 1.0:
@@ -107,8 +101,6 @@ class RunConfig:
             "n_max": self.n_max,
             "plateau_theta": self.plateau_theta,
             "plateau_window": self.plateau_window,
-            "precision_bits": self.precision_bits,
-            "escalation_budget": self.escalation_budget,
         }
 
 
@@ -154,7 +146,11 @@ class SweepConfig:
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    try:
+        text = json.dumps(payload, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise InputError(f"{path.name}: {exc}") from None
+    path.write_text(text + "\n", encoding="utf-8")
 
 
 def _fmt(value) -> str:
@@ -243,14 +239,7 @@ def cmd_reconstruct(config: RunConfig) -> int:
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     cs, truth = _power_coefficients(config)
-    report = reconstruct.build_report(
-        cs,
-        n_max=config.n_max,
-        precision0=config.precision_bits,
-        policy=config.policy(),
-        truth=truth,
-        escalation_budget=config.escalation_budget,
-    )
+    report = reconstruct.build_report(cs, n_max=config.n_max, policy=config.policy(), truth=truth)
     payload = _report_payload("reconstruction", config, report.to_dict())
     stem = config.stem()
     if config.emit in ("json", "both"):
@@ -260,10 +249,9 @@ def cmd_reconstruct(config: RunConfig) -> int:
     plateau = report.plateau if report.plateau is not None else "none"
     err = f", l2_rel={report.errors.l2_rel:.4f}" if report.errors and report.errors.l2_rel else ""
     print(
-        f"reconstruct: plateau={plateau}, m_t={report.m_t}, confident={report.confident}, "
-        f"precision={report.precision_used} bits, stabilized={report.stabilized}{err}"
+        f"reconstruct: plateau={plateau}, m_t={report.m_t}, confident={report.confident}{err}"
     )
-    return EXIT_OK if report.stabilized else EXIT_UNSTABLE
+    return EXIT_OK
 
 
 def cmd_thermal(config: RunConfig) -> int:
@@ -278,13 +266,7 @@ def cmd_thermal(config: RunConfig) -> int:
         if config.epsilon > 0.0:
             cs = corpus.add_noise(cs, config.epsilon, config.seed)
         problem = thermal.ThermalProblem(coefficients=cs)
-    report = thermal.build_thermal_report(
-        problem,
-        n_max=config.n_max,
-        precision0=config.precision_bits,
-        policy=config.policy(),
-        escalation_budget=config.escalation_budget,
-    )
+    report = thermal.build_thermal_report(problem, n_max=config.n_max, policy=config.policy())
     payload = _report_payload("thermal", config, report.to_dict())
     stem = config.stem()
     if config.emit in ("json", "both"):
@@ -298,14 +280,13 @@ def cmd_thermal(config: RunConfig) -> int:
         else ""
     )
     print(
-        f"thermal: plateau={plateau}, m_t={report.m_t}, confident={report.confident}, "
-        f"precision={report.precision_used} bits, stabilized={report.stabilized}{err}"
+        f"thermal: plateau={plateau}, m_t={report.m_t}, confident={report.confident}{err}"
     )
-    return EXIT_OK if report.stabilized else EXIT_UNSTABLE
+    return EXIT_OK
 
 
 def _sweep_cell(args: tuple) -> dict:
-    (problem_id, n, eps, repeat, seed, n_max, precision_bits, theta, window, budget) = args
+    (problem_id, n, eps, repeat, seed, n_max, theta, window) = args
     row = {
         "N": n,
         "epsilon": eps,
@@ -315,7 +296,6 @@ def _sweep_cell(args: tuple) -> dict:
         "plateau_hi": None,
         "m_t": None,
         "confident": None,
-        "stabilized": None,
         "l2_abs": None,
         "l2_rel": None,
         "error": "",
@@ -326,15 +306,12 @@ def _sweep_cell(args: tuple) -> dict:
         report = reconstruct.build_report(
             cs,
             n_max=n_max,
-            precision0=precision_bits,
             policy=reconstruct.PlateauPolicy(theta=theta, w_min=window),
             truth=spec.jump,
-            escalation_budget=budget,
         )
         row["plateau_lo"], row["plateau_hi"] = report.plateau
         row["m_t"] = report.m_t
         row["confident"] = report.confident
-        row["stabilized"] = report.stabilized
         if report.errors is not None:
             row["l2_abs"] = report.errors.l2_abs
             row["l2_rel"] = report.errors.l2_rel
@@ -352,7 +329,6 @@ SWEEP_COLUMNS = [
     "plateau_hi",
     "m_t",
     "confident",
-    "stabilized",
     "l2_abs",
     "l2_rel",
     "error",
@@ -387,10 +363,8 @@ def cmd_sweep(sweep: SweepConfig) -> int:
             repeat,
             seed,
             base.n_max,
-            base.precision_bits,
             base.plateau_theta,
             base.plateau_window,
-            base.escalation_budget,
         )
         for (n, eps, repeat, seed) in cells
     ]
@@ -426,7 +400,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n-max", dest="n_max", type=int, help="synthesis depth")
     p.add_argument("--plateau-theta", dest="plateau_theta", type=float, help="flatness threshold")
     p.add_argument("--plateau-window", dest="plateau_window", type=int, help="minimum run length")
-    p.add_argument("--precision-bits", dest="precision_bits", type=int, help="starting precision")
     p.add_argument("--out", dest="output_dir", help="output directory")
     p.add_argument("--emit", choices=("json", "csv", "both"), help="which files to write")
 
@@ -453,7 +426,6 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         "n_max",
         "plateau_theta",
         "plateau_window",
-        "precision_bits",
         "output_dir",
         "emit",
         "p_exponent",

@@ -1,10 +1,11 @@
 """Jump-function reconstruction from power-series coefficients.
 
 Pipeline: synthesize expansion coefficients c_n from the series data in
-extended precision (the alternating sum over k cancels catastrophically, so
-double precision is never attempted), locate the plateau of the partial
-energies M_m, truncate there, and resum the Laguerre-type basis on a sample
-grid.  Independent integral checks (Mellin, Cauchy, probability density) let
+exact integer arithmetic (the alternating sum over k cancels far beyond
+double precision; every double is a dyadic rational and the rotated
+polynomial values are integers, so the sum is exact and each c_n is rounded
+once), locate the plateau of the partial energies M_m, truncate there, and
+resum the Laguerre-type basis on a sample grid.  Independent integral checks (Mellin, Cauchy, probability density) let
 callers validate a reconstruction without knowing the truth.
 
 Sign convention: the expansion coefficients and basis functions each carry a
@@ -17,6 +18,7 @@ simply sum_n c_n * basis_phi(n, x).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -25,7 +27,7 @@ from mpmath import mp
 
 from .corpus import CoefficientSet, JumpGroundTruth
 from .errors import ConfigError, DomainError, InputError
-from .specfun import integrate_adaptive, laguerre_scaled_seq, rotated_seq_raw
+from .specfun import integrate_adaptive, laguerre_scaled_seq, rotated_int_seq
 
 __all__ = [
     "ErrorReport",
@@ -48,10 +50,10 @@ __all__ = [
     "synthesize_coefficients",
 ]
 
-DEFAULT_PRECISION_BITS = 320
 DEFAULT_N_MAX = 200
-STABILIZATION_RTOL = 1e-12
-NEGLIGIBLE_COEFF = 1e-300
+# Working precision of the 2 sqrt(pi) prefactor of the critical-line
+# coefficients, applied once to each exact sum; far beyond the 53 bits kept.
+LINE_PREFACTOR_BITS = 256
 
 
 # --------------------------------------------------------------------------
@@ -61,57 +63,64 @@ NEGLIGIBLE_COEFF = 1e-300
 
 @dataclass(frozen=True)
 class SynthesisResult:
-    """Synthesized expansion coefficients plus precision bookkeeping."""
+    """Synthesized expansion coefficients."""
 
     c: np.ndarray
-    precision_used: int
-    stabilized: bool
 
 
-_PREFACTORS = {
-    "sqrt2": lambda: mp.sqrt(2),
-    "two_sqrt_pi": lambda: 2 * mp.sqrt(mp.pi),
-}
+def _exact_sums(values: np.ndarray, n_max: int) -> tuple[list[int], int]:
+    """Integers S_0..S_{n_max} and D with sum_k (-1)^k v_k q_n^{(k)} / k! = S_n / D.
 
-
-def _synth_raw(values: np.ndarray, n_max: int, precision: int, prefactor: str) -> list:
-    """s_n = prefactor * sum_k (-1)^k v_k q_n^{(k)} / k! as mpmath floats.
-
-    q_n is the rotated Meixner-Pollaczek value (see specfun.rotated_seq_raw);
-    the sum runs over the ordinal position k of ``values``.  The prefactor is
-    evaluated at working precision.
+    Every double is a dyadic rational, so with 2^s the largest denominator
+    among the v_k and K = len(values), D = (K-1)! 2^s clears every
+    denominator and S_n = sum_k (-1)^k ((K-1)!/k!) (v_k 2^s) q_n^{(k)} is an
+    exact integer dot product with the rows of ``rotated_int_seq``.
     """
-    with mp.workprec(precision):
-        pref = _PREFACTORS[prefactor]()
-        s = [mp.mpf(0)] * (n_max + 1)
-        coeff = mp.mpf(1)  # (-1)^k / k!
-        for k, v in enumerate(values):
-            if k > 0:
-                coeff = -coeff / k
-            a = coeff * mp.mpf(float(v))
-            if a == 0:
-                continue
-            qq = rotated_seq_raw(n_max, k, precision)
-            for n in range(n_max + 1):
-                s[n] += a * qq[n]
-        return [pref * x for x in s]
+    ratios = [float(v).as_integer_ratio() for v in values]
+    shift = max(den.bit_length() - 1 for _, den in ratios)
+    weights, rows = [], []
+    fact = 1  # (K-1)! / k!, built from k = K-1 down
+    for k in reversed(range(len(ratios))):
+        num, den = ratios[k]
+        if num:
+            w = fact * num * ((1 << shift) // den)
+            weights.append(-w if k % 2 else w)
+            rows.append(rotated_int_seq(n_max, k))
+        fact *= max(k, 1)
+    if not rows:
+        return [0] * (n_max + 1), fact << shift
+    return [sum(map(operator.mul, weights, col)) for col in zip(*rows)], fact << shift
 
 
-def synthesize_raw(
-    values: np.ndarray,
-    n_max: int,
-    precision0: int = DEFAULT_PRECISION_BITS,
-    escalation_budget: int = 4,
-    prefactor: str = "sqrt2",
-    alternate_sign: bool = True,
-) -> SynthesisResult:
-    """Extended-precision synthesis with precision escalation.
+def _sqrt_ratio(m: int, d: int) -> float:
+    """sqrt(m) / d correctly rounded to a double, for integers m >= 0, d > 0.
 
-    Recomputes at doubled precision until every coefficient above the
-    negligibility floor agrees to relative 1e-12 between consecutive
-    precisions.  ``alternate_sign`` applies the (-1)^n phase-product factor
-    (on for the reconstruction coefficients, off for the raw rotated sums
-    used by the critical-line expansion).
+    r = isqrt(m 4^p) = floor(sqrt(m) 2^p), with p chosen so that q = r // d
+    has at least 64 bits; q is then floor(sqrt(m) 2^p / d) exactly.  A sticky
+    bit appended below q records whether anything was cut off, which is all
+    round-to-nearest needs, and Python's int / int division rounds correctly,
+    subnormals included.  A result beyond the double range gives inf.
+    """
+    p = max(0, 66 + d.bit_length() - (m.bit_length() + 1) // 2)
+    m_scaled = m << (2 * p)
+    r = math.isqrt(m_scaled)
+    q, rem = divmod(r, d)
+    sticky = int(rem != 0 or r * r != m_scaled)
+    try:
+        return ((q << 1) | sticky) / (1 << (p + 1))
+    except OverflowError:
+        return math.inf
+
+
+def synthesize_raw(values: np.ndarray, n_max: int, critical_line: bool = False) -> SynthesisResult:
+    """Exact synthesis of pref * sum_k (-1)^k v_k q_n^{(k)} / k!, n <= n_max.
+
+    The sums are exact integers (see ``_exact_sums``) and each coefficient
+    is rounded to a double once.  By default pref = sqrt(2), rounded
+    correctly by ``_sqrt_ratio``, and the (-1)^n phase-product factor of the
+    reconstruction coefficients is applied.  ``critical_line`` gives the raw
+    rotated sums of the critical-line expansion instead: pref = 2 sqrt(pi),
+    evaluated at ``LINE_PREFACTOR_BITS`` bits, and no phase factor.
     """
     values = np.asarray(values, dtype=float)
     if values.ndim != 1 or values.size == 0:
@@ -120,63 +129,40 @@ def synthesize_raw(
         raise InputError("synthesis input must not contain NaN or Inf")
     if n_max < 0:
         raise InputError("n_max must be >= 0")
-    if precision0 < 64:
-        raise ConfigError(f"precision0: {precision0} bits is below the 64-bit minimum")
-    if escalation_budget < 0:
-        raise ConfigError("escalation_budget: must be >= 0")
-
-    def finish(raw, prec, ok):
-        c = np.array([float(x) for x in raw])
-        if alternate_sign and n_max >= 1:
-            c[1::2] = -c[1::2]
-        return SynthesisResult(c=c, precision_used=prec, stabilized=ok)
-
-    prec = precision0
-    prev = _synth_raw(values, n_max, prec, prefactor)
-    if escalation_budget == 0:
-        # A single computation cannot be cross-checked; flag it.
-        return finish(prev, prec, False)
-    for _ in range(escalation_budget):
-        prec2 = prec * 2
-        cur = _synth_raw(values, n_max, prec2, prefactor)
-        with mp.workprec(prec2):
-            agree = all(
-                abs(a - b) <= STABILIZATION_RTOL * abs(b)
-                for a, b in zip(prev, cur)
-                if abs(b) > NEGLIGIBLE_COEFF or abs(a) > NEGLIGIBLE_COEFF
-            )
-        if agree:
-            return finish(cur, prec2, True)
-        prev, prec = cur, prec2
-    return finish(prev, prec, False)
+    sums, d = _exact_sums(values, n_max)
+    if critical_line:
+        with mp.workprec(LINE_PREFACTOR_BITS):
+            pref = 2 * mp.sqrt(mp.pi) / d
+            c = np.array([float(pref * s) for s in sums])
+    else:
+        c = np.array([(-1.0 if s < 0 else 1.0) * _sqrt_ratio(2 * s * s, d) for s in sums])
+        c[1::2] = -c[1::2]
+    bad = np.flatnonzero(~np.isfinite(c))
+    if bad.size:
+        name = "d" if critical_line else "c"
+        raise InputError(f"{name}_{bad[0]} lies outside the double range; rescale the input coefficients")
+    return SynthesisResult(c=c)
 
 
-def synthesize_coefficients(
-    g: CoefficientSet | np.ndarray,
-    n_max: int = DEFAULT_N_MAX,
-    precision0: int = DEFAULT_PRECISION_BITS,
-    escalation_budget: int = 4,
-) -> SynthesisResult:
+def synthesize_coefficients(g: CoefficientSet | np.ndarray, n_max: int = DEFAULT_N_MAX) -> SynthesisResult:
     """Expansion coefficients c_0..c_{n_max} from series coefficients.
 
     c_n = (-1)^n sqrt(2) sum_{k=0}^{N} (-1)^k g_k q_n^{(k)} / k!, the real
     number such that the reconstruction is sum c_n basis_phi(n, x).
     """
     values = g.values if isinstance(g, CoefficientSet) else np.asarray(g, dtype=float)
-    return synthesize_raw(
-        values,
-        n_max,
-        precision0=precision0,
-        escalation_budget=escalation_budget,
-        prefactor="sqrt2",
-        alternate_sign=True,
-    )
+    return synthesize_raw(values, n_max)
 
 
 def partial_energies(c: np.ndarray) -> np.ndarray:
     """Cumulative energies M_m = sum_{n<=m} c_n^2 (nondecreasing)."""
     c = np.asarray(c, dtype=float)
-    return np.cumsum(c * c)
+    with np.errstate(over="ignore"):
+        M = np.cumsum(c * c)
+    bad = np.flatnonzero(~np.isfinite(M))
+    if bad.size:
+        raise InputError(f"M_{bad[0]} lies outside the double range; rescale the input coefficients")
+    return M
 
 
 # --------------------------------------------------------------------------
@@ -523,8 +509,6 @@ class ReconstructionReport:
     plateau: tuple[int, int] | None
     m_t: int
     confident: bool
-    stabilized: bool
-    precision_used: int
     xs: np.ndarray
     j_rec: np.ndarray
     j_true: np.ndarray | None = None
@@ -549,8 +533,6 @@ class ReconstructionReport:
             "m_t": self.m_t,
             "confident": self.confident,
             "decay_exponent": self.decay_exponent,
-            "stabilized": self.stabilized,
-            "precision_used": self.precision_used,
             "samples": samples,
             "errors": self.errors.to_dict() if self.errors is not None else None,
         }
@@ -559,17 +541,13 @@ class ReconstructionReport:
 def build_report(
     g: CoefficientSet,
     n_max: int = DEFAULT_N_MAX,
-    precision0: int = DEFAULT_PRECISION_BITS,
     policy: PlateauPolicy | None = None,
     grid: np.ndarray | None = None,
     truth: JumpGroundTruth | None = None,
     error_domain: tuple[float, float] = (1.0, 50.0),
-    escalation_budget: int = 4,
 ) -> ReconstructionReport:
     """Run the full pipeline on a coefficient set."""
-    synth = synthesize_coefficients(
-        g, n_max=n_max, precision0=precision0, escalation_budget=escalation_budget
-    )
+    synth = synthesize_coefficients(g, n_max=n_max)
     M = partial_energies(synth.c)
     det = detect_plateau(M, policy)
     confident = det.confident and g.values.size >= 2  # single-coefficient runs are degenerate
@@ -586,8 +564,6 @@ def build_report(
         plateau=det.plateau,
         m_t=det.m_t,
         confident=confident,
-        stabilized=synth.stabilized,
-        precision_used=synth.precision_used,
         xs=xs,
         j_rec=j_rec,
         j_true=j_true,

@@ -2,11 +2,13 @@
 
 Complex log-gamma (Lanczos), Laguerre and Meixner-Pollaczek polynomial
 sequences, the rotated real-valued Meixner-Pollaczek recurrence used by the
-coefficient synthesis, adaptive Gauss-Kronrod quadrature, and an
-extended-precision scalar type with explicit precision control.
+coefficient synthesis (in exact integers; its extended-precision form serves
+as a reference), adaptive Gauss-Kronrod quadrature, and an extended-precision
+scalar type with explicit precision control.
 
-All functions here are pure; nothing mutates shared state, so everything is
-safe to call from worker processes or threads.
+All functions here are pure.  The one piece of shared state is the cache of
+``rotated_int_seq``, which only ever appends exact integers, so every caller
+sees the same values whatever ran before it.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ __all__ = [
     "mp_real_seq",
     "mp_rotated_seq",
     "mp_weight",
+    "rotated_int_seq",
 ]
 
 MIN_PRECISION_BITS = 64
@@ -197,6 +200,36 @@ def rotated_seq_raw(n_max: int, k: int, precision: int) -> list:
         for n in range(1, n_max):
             qs.append((-a * qs[n] + n * qs[n - 1]) / (n + 1))
     return qs
+
+
+# Row k caches q_0^(k), q_1^(k), ... of ``rotated_int_seq``.  Rows only grow,
+# so a row built for a larger n_max serves every smaller one.
+_ROTATED_ROWS: list[list[int]] = []
+
+
+def rotated_int_seq(n_max: int, k: int) -> list[int]:
+    """q_n = i^{-n} P_n(-i(k + 1/2)) for n <= n_max, as exact integers.
+
+    These are integers: q_n = sum_j C(n, j) C(k + j, j) (-2)^j, the 2F1 form
+    of the Meixner-Pollaczek polynomials at lambda = 1/2 (Koekoek, Lesky and
+    Swarttouw 2010, sec. 9.7).  They are computed by the recurrence of
+    ``rotated_seq_raw`` in integer arithmetic, where the division by n + 1
+    is exact.  Rows are built on first use and extended when a larger
+    ``n_max`` is asked for; nothing is built at import.
+    """
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0")
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    while len(_ROTATED_ROWS) <= k:
+        _ROTATED_ROWS.append([1, -(2 * len(_ROTATED_ROWS) + 1)])
+    row = _ROTATED_ROWS[k]
+    a = 2 * k + 1
+    for n in range(len(row) - 1, n_max):
+        q, r = divmod(-a * row[n] + n * row[n - 1], n + 1)
+        assert r == 0, "the rotated recurrence must divide exactly"
+        row.append(q)
+    return row[: n_max + 1]
 
 
 @dataclass(frozen=True)

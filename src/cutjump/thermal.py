@@ -22,7 +22,6 @@ from .corpus import CoefficientSet, JumpGroundTruth, ProblemSpec, coefficients
 from .errors import DomainError, InputError
 from .reconstruct import (
     DEFAULT_N_MAX,
-    DEFAULT_PRECISION_BITS,
     ErrorReport,
     PlateauPolicy,
     SynthesisResult,
@@ -76,25 +75,13 @@ def thermal_problem(
     return ThermalProblem(coefficients=coefficients(spec, N, epsilon, seed), truth=spec.jump)
 
 
-def synthesize_thermal(
-    problem: ThermalProblem,
-    n_max: int = DEFAULT_N_MAX,
-    precision0: int = DEFAULT_PRECISION_BITS,
-    escalation_budget: int = 4,
-) -> SynthesisResult:
+def synthesize_thermal(problem: ThermalProblem, n_max: int = DEFAULT_N_MAX) -> SynthesisResult:
     """Expansion coefficients from the shifted sequence h_k = g_{k+1}.
 
     Identical to the power-series synthesis applied to h; the stored values
     follow the same real phase-product convention.
     """
-    return synthesize_raw(
-        problem.coefficients.values,
-        n_max,
-        precision0=precision0,
-        escalation_budget=escalation_budget,
-        prefactor="sqrt2",
-        alternate_sign=True,
-    )
+    return synthesize_raw(problem.coefficients.values, n_max)
 
 
 def psi_matrix(n_max: int, vs) -> np.ndarray:
@@ -160,12 +147,7 @@ def weighted_l2_error(
     return ErrorReport(l2_abs=l2_abs, l2_rel=l2_rel, domain=(0.0, v_max))
 
 
-def synthesize_line_coefficients(
-    problem: ThermalProblem,
-    n_max: int = DEFAULT_N_MAX,
-    precision0: int = DEFAULT_PRECISION_BITS,
-    escalation_budget: int = 4,
-) -> SynthesisResult:
+def synthesize_line_coefficients(problem: ThermalProblem, n_max: int = DEFAULT_N_MAX) -> SynthesisResult:
     """Coefficients of the critical-line expansion of the interpolant.
 
     Same rotated sums as the reconstruction coefficients but with prefactor
@@ -174,14 +156,7 @@ def synthesize_line_coefficients(
     evaluation time.  Their ratio to the reconstruction coefficients is
     (-1)^n sqrt(2 pi); a regression test records that observation.
     """
-    return synthesize_raw(
-        problem.coefficients.values,
-        n_max,
-        precision0=precision0,
-        escalation_budget=escalation_budget,
-        prefactor="two_sqrt_pi",
-        alternate_sign=False,
-    )
+    return synthesize_raw(problem.coefficients.values, n_max, critical_line=True)
 
 
 def gtilde_line_expansion(d_hat: np.ndarray, m_t: int, nus) -> np.ndarray:
@@ -223,8 +198,6 @@ class ThermalReport:
     plateau: tuple[int, int] | None
     m_t: int
     confident: bool
-    stabilized: bool
-    precision_used: int
     vs: np.ndarray
     j_rec: np.ndarray
     j_true: np.ndarray | None = None
@@ -249,8 +222,6 @@ class ThermalReport:
             "m_t": self.m_t,
             "confident": self.confident,
             "decay_exponent": self.decay_exponent,
-            "stabilized": self.stabilized,
-            "precision_used": self.precision_used,
             "samples": samples,
             "weighted_errors": self.weighted_errors.to_dict() if self.weighted_errors else None,
         }
@@ -259,16 +230,12 @@ class ThermalReport:
 def build_thermal_report(
     problem: ThermalProblem,
     n_max: int = DEFAULT_N_MAX,
-    precision0: int = DEFAULT_PRECISION_BITS,
     policy: PlateauPolicy | None = None,
     grid: np.ndarray | None = None,
     v_max: float = DEFAULT_V_MAX,
-    escalation_budget: int = 4,
 ) -> ThermalReport:
     """Run the full thermal pipeline on a problem."""
-    synth = synthesize_thermal(
-        problem, n_max=n_max, precision0=precision0, escalation_budget=escalation_budget
-    )
+    synth = synthesize_thermal(problem, n_max=n_max)
     M = partial_energies(synth.c)
     det = detect_plateau(M, policy)
     confident = det.confident and problem.coefficients.values.size >= 2
@@ -287,8 +254,6 @@ def build_thermal_report(
         plateau=det.plateau,
         m_t=det.m_t,
         confident=confident,
-        stabilized=synth.stabilized,
-        precision_used=synth.precision_used,
         vs=vs,
         j_rec=j_rec,
         j_true=j_true,

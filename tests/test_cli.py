@@ -18,7 +18,7 @@ def run_cli(args):
         (["reconstruct", "--problem", "nope"], "problem"),
         (["reconstruct", "--problem", "harmonic", "--epsilon", "-1"], "epsilon"),
         (["reconstruct", "--problem", "harmonic", "--n-max", "-2"], "n-max"),
-        (["reconstruct", "--problem", "harmonic", "--precision-bits", "32"], "precision-bits"),
+        (["reconstruct", "--problem", "harmonic", "--n-coeffs", "-1"], "n-coeffs"),
         (["reconstruct", "--problem", "harmonic", "--plateau-theta", "0"], "plateau-theta"),
         (["reconstruct", "--problem", "harmonic", "--plateau-window", "1"], "plateau-window"),
         (["reconstruct"], "problem/input"),
@@ -47,7 +47,7 @@ def test_moments_builtin_harmonic(tmp_path, capsys):
     )
     assert code == cli.EXIT_OK
     payload = json.loads((tmp_path / "harmonic_moments.json").read_text())
-    assert payload["schema_version"] == 1
+    assert payload["schema_version"] == 2
     assert payload["positivity_ok"] is True
     assert "positivity_ok=True" in capsys.readouterr().out
 
@@ -90,9 +90,8 @@ def test_reconstruct_writes_report_and_samples(tmp_path):
     )
     assert code == cli.EXIT_OK
     payload = json.loads((tmp_path / "normalized_rational_report.json").read_text())
-    assert payload["schema_version"] == 1
+    assert payload["schema_version"] == 2
     assert payload["kind"] == "reconstruction"
-    assert payload["stabilized"] is True
     assert payload["plateau"][0] <= payload["m_t"] <= payload["plateau"][1]
     assert payload["errors"]["l2_rel"] < 0.08
     csv_lines = (tmp_path / "normalized_rational_samples.csv").read_text().splitlines()
@@ -145,22 +144,28 @@ def test_reconstruct_emit_controls_files(tmp_path):
     assert not (tmp_path / "rational_unnormalized_samples.csv").exists()
 
 
-def test_reconstruct_exit_three_on_unverified_precision(tmp_path):
+def test_config_escalation_budget_is_unknown_field(tmp_path, capsys):
+    # Synthesis is exact, so the precision knobs are gone from the config.
     config = tmp_path / "cfg.json"
-    config.write_text(
-        json.dumps(
-            {
-                "problem": "normalized_rational",
-                "n_coeffs": 20,
-                "n_max": 40,
-                "escalation_budget": 0,
-            }
-        )
-    )
+    config.write_text(json.dumps({"problem": "normalized_rational", "escalation_budget": 0}))
     code = run_cli(["reconstruct", "--config", str(config), "--out", str(tmp_path)])
-    assert code == cli.EXIT_UNSTABLE
-    payload = json.loads((tmp_path / "normalized_rational_report.json").read_text())
-    assert payload["stabilized"] is False  # report still written
+    assert code == cli.EXIT_ERROR
+    assert "escalation_budget" in capsys.readouterr().err
+    assert not (tmp_path / "normalized_rational_report.json").exists()
+
+
+@pytest.mark.parametrize("command,first_index", [("reconstruct", 0), ("thermal", 1)])
+def test_coefficients_near_float_limit_exit_one(tmp_path, capsys, command, first_index):
+    # c_0 = sqrt(2) (1 + 1 + 1/2) 1e308 overflows: exit 1 naming c_0, no report.
+    f = tmp_path / "huge.csv"
+    values = ["1e308", "-1e308", "1e308"]
+    f.write_text("".join(f"{first_index + i},{v}\n" for i, v in enumerate(values)))
+    out = tmp_path / "out"
+    code = run_cli([command, "--input", str(f), "--out", str(out)])
+    assert code == cli.EXIT_ERROR
+    err = capsys.readouterr().err
+    assert "c_0" in err
+    assert not list(out.glob("*.json"))
 
 
 def test_config_file_with_flag_override(tmp_path):

@@ -19,6 +19,7 @@ from cutjump.specfun import (
     mp_real_seq,
     mp_rotated_seq,
     mp_weight,
+    rotated_int_seq,
     rotated_seq_raw,
 )
 
@@ -192,6 +193,35 @@ def test_rotation_consistency_exact_all_k():
                     p = (2 * y * p_cur - (n - 1) * p_prev) / n
                     p_prev, p_cur = p_cur, p
                 assert i**n * qs[n] == p
+
+
+def test_rotated_int_seq_matches_closed_form():
+    # q_n^(k) = sum_j C(n, j) C(k + j, j) (-2)^j, the 2F1 form.
+    for k in range(40):
+        closed = [
+            sum(math.comb(n, j) * math.comb(k + j, j) * (-2) ** j for j in range(n + 1))
+            for n in range(61)
+        ]
+        assert rotated_int_seq(60, k) == closed
+
+
+def test_rotated_int_seq_matches_extended_precision_recurrence():
+    # Every value here stays below 2^172, so the 256-bit recurrence is exact.
+    for k in range(61):
+        assert rotated_int_seq(80, k) == [int(q) for q in rotated_seq_raw(80, k, 256)]
+
+
+def test_rotated_int_seq_rows_extend_and_stay_private():
+    long_row = rotated_int_seq(90, 7)
+    assert rotated_int_seq(12, 7) == long_row[:13]
+    assert rotated_int_seq(130, 7)[:91] == long_row
+    row = rotated_int_seq(5, 2)
+    row[0] = 99  # a caller's copy; the cached row is untouched
+    assert rotated_int_seq(5, 2)[0] == 1
+    with pytest.raises(ValueError):
+        rotated_int_seq(-1, 0)
+    with pytest.raises(ValueError):
+        rotated_int_seq(3, -1)
 
 
 def test_rotated_seq_trivial_values():

@@ -64,7 +64,6 @@ def test_index_shift_identity_is_exact():
     a = synthesize_thermal(prob, n_max=50)
     b = reconstruct.synthesize_coefficients(prob.coefficients.values, n_max=50)
     np.testing.assert_array_equal(a.c, b.c)
-    assert a.precision_used == b.precision_used
 
 
 # -------------------------------------------------------------------- basis
@@ -116,7 +115,6 @@ def test_reconstruct_thermal_matches_bruteforce_sum():
 def test_demo_reconstruction_close_in_weighted_norm(thermal60_report):
     rep = thermal60_report
     assert rep.weighted_errors.l2_rel < 0.05
-    assert rep.stabilized
     assert rep.plateau[0] <= rep.m_t <= rep.plateau[1]
 
 
