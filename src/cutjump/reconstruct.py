@@ -5,8 +5,9 @@ exact integer arithmetic (the alternating sum over k cancels far beyond
 double precision; every double is a dyadic rational and the rotated
 polynomial values are integers, so the sum is exact and each c_n is rounded
 once), locate the plateau of the partial energies M_m, truncate there, and
-resum the Laguerre-type basis on a sample grid.  Independent integral checks (Mellin, Cauchy, probability density) let
-callers validate a reconstruction without knowing the truth.
+resum the Laguerre-type basis on a sample grid.  Independent integral checks
+(Mellin, Cauchy, probability density) let callers validate a reconstruction
+without knowing the truth.
 
 Sign convention: the expansion coefficients and basis functions each carry a
 phase i^n; their product is real, equal to (-1)^n times the rotated real
@@ -82,13 +83,10 @@ def _exact_sums(values: np.ndarray, n_max: int) -> tuple[list[int], int]:
     fact = 1  # (K-1)! / k!, built from k = K-1 down
     for k in reversed(range(len(ratios))):
         num, den = ratios[k]
-        if num:
-            w = fact * num * ((1 << shift) // den)
-            weights.append(-w if k % 2 else w)
-            rows.append(rotated_int_seq(n_max, k))
+        w = fact * num * ((1 << shift) // den)
+        weights.append(-w if k % 2 else w)
+        rows.append(rotated_int_seq(n_max, k))
         fact *= max(k, 1)
-    if not rows:
-        return [0] * (n_max + 1), fact << shift
     return [sum(map(operator.mul, weights, col)) for col in zip(*rows)], fact << shift
 
 

@@ -7,13 +7,14 @@ as a reference), adaptive Gauss-Kronrod quadrature, and an extended-precision
 scalar type with explicit precision control.
 
 All functions here are pure.  The one piece of shared state is the cache of
-``rotated_int_seq``, which only ever appends exact integers, so every caller
-sees the same values whatever ran before it.
+``rotated_int_seq``, which only ever appends exact integers under a lock, so
+every caller, in any thread, sees the same values whatever ran before it.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from typing import Callable, Literal
 
@@ -205,6 +206,7 @@ def rotated_seq_raw(n_max: int, k: int, precision: int) -> list:
 # Row k caches q_0^(k), q_1^(k), ... of ``rotated_int_seq``.  Rows only grow,
 # so a row built for a larger n_max serves every smaller one.
 _ROTATED_ROWS: list[list[int]] = []
+_ROTATED_LOCK = threading.Lock()
 
 
 def rotated_int_seq(n_max: int, k: int) -> list[int]:
@@ -221,15 +223,16 @@ def rotated_int_seq(n_max: int, k: int) -> list[int]:
         raise ValueError("n_max must be >= 0")
     if k < 0:
         raise ValueError("k must be >= 0")
-    while len(_ROTATED_ROWS) <= k:
-        _ROTATED_ROWS.append([1, -(2 * len(_ROTATED_ROWS) + 1)])
-    row = _ROTATED_ROWS[k]
-    a = 2 * k + 1
-    for n in range(len(row) - 1, n_max):
-        q, r = divmod(-a * row[n] + n * row[n - 1], n + 1)
-        assert r == 0, "the rotated recurrence must divide exactly"
-        row.append(q)
-    return row[: n_max + 1]
+    with _ROTATED_LOCK:
+        while len(_ROTATED_ROWS) <= k:
+            _ROTATED_ROWS.append([1, -(2 * len(_ROTATED_ROWS) + 1)])
+        row = _ROTATED_ROWS[k]
+        a = 2 * k + 1
+        for n in range(len(row) - 1, n_max):
+            q, r = divmod(-a * row[n] + n * row[n - 1], n + 1)
+            assert r == 0, "the rotated recurrence must divide exactly"
+            row.append(q)
+        return row[: n_max + 1]
 
 
 @dataclass(frozen=True)

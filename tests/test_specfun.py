@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import mpmath
 import numpy as np
@@ -222,6 +224,38 @@ def test_rotated_int_seq_rows_extend_and_stay_private():
         rotated_int_seq(-1, 0)
     with pytest.raises(ValueError):
         rotated_int_seq(3, -1)
+
+
+def test_rotated_int_seq_is_thread_safe():
+    # Eight threads (more than the cores) extend the same fresh rows in small
+    # steps at once; a lost or doubled append would shift every later entry.
+    ks = range(900, 960)
+    barrier = threading.Barrier(8, timeout=60)
+    errors = []
+
+    def work():
+        try:
+            for k in ks:
+                barrier.wait()
+                for n_max in range(2, 151, 5):
+                    rotated_int_seq(n_max, k)
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    for k in ks:
+        assert rotated_int_seq(150, k) == [int(q) for q in rotated_seq_raw(150, k, 2048)]
 
 
 def test_rotated_seq_trivial_values():
