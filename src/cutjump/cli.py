@@ -1,8 +1,10 @@
 """Command-line front end.
 
-Subcommands: ``moments``, ``reconstruct``, ``thermal``, ``sweep``.  Every
-numeric option is validated before any numerics run; an invalid value exits
-with code 1 and a message naming the offending field.  Identical
+Subcommands: ``moments``, ``reconstruct``, ``thermal``, ``sweep``;
+``reconstruct`` and ``thermal`` share one handler.  Every numeric option is
+validated before any numerics run, and every JSON config value is checked
+against its field's type; an invalid value exits with code 1 and a message
+naming the offending field.  Identical
 configurations (seeds included) produce byte-identical JSON and CSV output.
 
 Exit codes: 0 clean run; 1 parse/IO/config error, or input whose
@@ -19,6 +21,7 @@ import argparse
 import json
 import os
 import sys
+import typing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -221,85 +224,64 @@ def cmd_moments(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def _power_coefficients(config: RunConfig) -> tuple[corpus.CoefficientSet, object]:
+def cmd_run(command: str, config: RunConfig) -> int:
+    """``reconstruct`` or ``thermal``: one pipeline run, its report and samples."""
+    config.validate()
+    out_dir = Path(config.output_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    is_thermal = command == "thermal"
+    truth = None
     if config.problem is not None:
         spec = corpus.builtin(config.problem)
-        if spec.start_index != 0:
+        if is_thermal and spec.start_index != 1:
+            raise InputError(f"{spec.id} is not a thermal problem")
+        if not is_thermal and spec.start_index != 0:
             raise InputError(f"{spec.id} is a thermal problem; use the thermal subcommand")
         cs = corpus.coefficients(spec, config.n_coeffs, config.epsilon, config.seed)
-        return cs, spec.jump
-    cs = corpus.load_coefficients(config.input_path)
-    if config.epsilon > 0.0:
-        cs = corpus.add_noise(cs, config.epsilon, config.seed)
-    return cs, None
-
-
-def cmd_reconstruct(config: RunConfig) -> int:
-    config.validate()
-    out_dir = Path(config.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    cs, truth = _power_coefficients(config)
-    report = reconstruct.build_report(cs, n_max=config.n_max, policy=config.policy(), truth=truth)
-    payload = _report_payload("reconstruction", config, report.to_dict())
-    stem = config.stem()
-    if config.emit in ("json", "both"):
-        _write_json(out_dir / f"{stem}_report.json", payload)
-    if config.emit in ("csv", "both"):
-        _write_samples_csv(out_dir / f"{stem}_samples.csv", "x", report.xs, report.j_rec, report.j_true)
-    plateau = report.plateau if report.plateau is not None else "none"
-    err = f", l2_rel={report.errors.l2_rel:.4f}" if report.errors and report.errors.l2_rel else ""
-    print(
-        f"reconstruct: plateau={plateau}, m_t={report.m_t}, confident={report.confident}{err}"
-    )
-    return EXIT_OK
-
-
-def cmd_thermal(config: RunConfig) -> int:
-    config.validate()
-    out_dir = Path(config.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    if config.problem is not None:
-        spec = corpus.builtin(config.problem)
-        problem = thermal.thermal_problem(spec, config.n_coeffs, config.epsilon, config.seed)
+        truth = spec.jump
     else:
-        cs = corpus.load_thermal_coefficients(config.input_path)
+        load = corpus.load_thermal_coefficients if is_thermal else corpus.load_coefficients
+        cs = load(config.input_path)
         if config.epsilon > 0.0:
             cs = corpus.add_noise(cs, config.epsilon, config.seed)
-        problem = thermal.ThermalProblem(coefficients=cs)
-    report = thermal.build_thermal_report(problem, n_max=config.n_max, policy=config.policy())
-    payload = _report_payload("thermal", config, report.to_dict())
+    if is_thermal:
+        problem = thermal.ThermalProblem(coefficients=cs, truth=truth)
+        report = thermal.build_thermal_report(problem, n_max=config.n_max, policy=config.policy())
+        kind, var, grid, errors, label = "thermal", "v", report.vs, report.weighted_errors, "l2w_rel"
+    else:
+        report = reconstruct.build_report(cs, n_max=config.n_max, policy=config.policy(), truth=truth)
+        kind, var, grid, errors, label = "reconstruction", "x", report.xs, report.errors, "l2_rel"
+    payload = _report_payload(kind, config, report.to_dict())
     stem = config.stem()
     if config.emit in ("json", "both"):
         _write_json(out_dir / f"{stem}_report.json", payload)
     if config.emit in ("csv", "both"):
-        _write_samples_csv(out_dir / f"{stem}_samples.csv", "v", report.vs, report.j_rec, report.j_true)
+        _write_samples_csv(out_dir / f"{stem}_samples.csv", var, grid, report.j_rec, report.j_true)
     plateau = report.plateau if report.plateau is not None else "none"
-    err = (
-        f", l2w_rel={report.weighted_errors.l2_rel:.4f}"
-        if report.weighted_errors and report.weighted_errors.l2_rel
-        else ""
-    )
-    print(
-        f"thermal: plateau={plateau}, m_t={report.m_t}, confident={report.confident}{err}"
-    )
+    err = f", {label}={errors.l2_rel:.4f}" if errors and errors.l2_rel else ""
+    print(f"{command}: plateau={plateau}, m_t={report.m_t}, confident={report.confident}{err}")
     return EXIT_OK
+
+
+SWEEP_COLUMNS = [
+    "N",
+    "epsilon",
+    "repeat",
+    "seed",
+    "plateau_lo",
+    "plateau_hi",
+    "m_t",
+    "confident",
+    "l2_abs",
+    "l2_rel",
+    "error",
+]
 
 
 def _sweep_cell(args: tuple) -> dict:
     (problem_id, n, eps, repeat, seed, n_max, theta, window) = args
-    row = {
-        "N": n,
-        "epsilon": eps,
-        "repeat": repeat,
-        "seed": seed,
-        "plateau_lo": None,
-        "plateau_hi": None,
-        "m_t": None,
-        "confident": None,
-        "l2_abs": None,
-        "l2_rel": None,
-        "error": "",
-    }
+    row = dict.fromkeys(SWEEP_COLUMNS)
+    row.update(N=n, epsilon=eps, repeat=repeat, seed=seed, error="")
     try:
         spec = corpus.builtin(problem_id)
         cs = corpus.coefficients(spec, n, eps, seed)
@@ -318,21 +300,6 @@ def _sweep_cell(args: tuple) -> dict:
     except Exception as exc:  # cell failures must not kill the sweep
         row["error"] = f"{type(exc).__name__}: {exc}"
     return row
-
-
-SWEEP_COLUMNS = [
-    "N",
-    "epsilon",
-    "repeat",
-    "seed",
-    "plateau_lo",
-    "plateau_hi",
-    "m_t",
-    "confident",
-    "l2_abs",
-    "l2_rel",
-    "error",
-]
 
 
 def _worker_count(n_cells: int) -> int:
@@ -404,8 +371,23 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--emit", choices=("json", "csv", "both"), help="which files to write")
 
 
+_TYPE_NAMES = {bool: "true or false", int: "an integer", float: "a number", str: "a string"}
+
+
+def _check_config_type(name: str, value, hint) -> None:
+    """ConfigError unless a JSON config value fits the field's type: bools
+    are bools, ints are non-bool ints, floats take ints too, and null is
+    taken only by fields whose default is None."""
+    kinds = typing.get_args(hint) or (hint,)
+    ok = kinds + ((int,) if float in kinds else ())
+    if isinstance(value, bool) and bool not in kinds or not isinstance(value, ok):
+        expected = " or ".join(_TYPE_NAMES.get(k, "null") for k in kinds)
+        raise ConfigError(f"config: {name} must be {expected}, got {json.dumps(value)}")
+
+
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     config = RunConfig()
+    hints = typing.get_type_hints(RunConfig)
     if getattr(args, "config", None):
         try:
             raw = json.loads(Path(args.config).read_text(encoding="utf-8"))
@@ -414,28 +396,14 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         if not isinstance(raw, dict):
             raise ConfigError("config: top level must be a JSON object")
         for key, value in raw.items():
-            if not hasattr(config, key):
+            if key not in hints:
                 raise ConfigError(f"config: unknown field {key!r}")
+            _check_config_type(key, value, hints[key])
             setattr(config, key, value)
-    for name in (
-        "problem",
-        "input_path",
-        "n_coeffs",
-        "epsilon",
-        "seed",
-        "n_max",
-        "plateau_theta",
-        "plateau_window",
-        "output_dir",
-        "emit",
-        "p_exponent",
-        "f_mode",
-    ):
+    for name in hints:
         value = getattr(args, name, None)
         if value is not None:
             setattr(config, name, value)
-    if getattr(args, "expect_positive", False):
-        config.expect_positive = True
     return config
 
 
@@ -460,6 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--expect-positive",
         dest="expect_positive",
         action="store_true",
+        default=None,  # unset, so a config file's value stands
         help="exit 2 when weight positivity fails",
     )
 
@@ -499,10 +468,8 @@ def main(argv=None) -> int:
     try:
         if args.command == "moments":
             return cmd_moments(_config_from_args(args))
-        if args.command == "reconstruct":
-            return cmd_reconstruct(_config_from_args(args))
-        if args.command == "thermal":
-            return cmd_thermal(_config_from_args(args))
+        if args.command in ("reconstruct", "thermal"):
+            return cmd_run(args.command, _config_from_args(args))
         if args.command == "sweep":
             base = _config_from_args(args)
             if base.problem is None and base.input_path is None:

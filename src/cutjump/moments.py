@@ -201,7 +201,12 @@ def hausdorff_check(mu: MomentSequence, n_max: int, p: float = DEFAULT_P_POWER) 
             if negative and positivity_ok:
                 positivity_ok = False
                 first_negative = (n, k)
-        stats.append((n + 1) ** (p - 1.0) * sum(abs(w) ** p for w in row_f))
+        try:
+            stats.append((n + 1) ** (p - 1.0) * sum(abs(w) ** p for w in row_f))
+        except OverflowError:
+            raise InputError(
+                f"row {n}: the L^p statistic lies outside the double range; rescale the input coefficients"
+            ) from None
     c_const = max(stats) ** (1.0 / p)
     decay_ok = all(
         abs(float(mu(n))) <= c_const / (n + 1) ** ((p - 1.0) / p) * (1.0 + 1e-12)

@@ -5,9 +5,10 @@ exact integer arithmetic (the alternating sum over k cancels far beyond
 double precision; every double is a dyadic rational and the rotated
 polynomial values are integers, so the sum is exact and each c_n is rounded
 once), locate the plateau of the partial energies M_m, truncate there, and
-resum the Laguerre-type basis on a sample grid.  Independent integral checks
-(Mellin, Cauchy, probability density) let callers validate a reconstruction
-without knowing the truth.
+resum the Laguerre-type basis on a sample grid.  The thermal variant runs
+the same pipeline core (``_run_pipeline``) with its own grid, resummation
+and error metric.  Independent integral checks (Mellin, Cauchy, probability
+density) let callers validate a reconstruction without knowing the truth.
 
 Sign convention: the expansion coefficients and basis functions each carry a
 phase i^n; their product is real, equal to (-1)^n times the rotated real
@@ -18,6 +19,7 @@ simply sum_n c_n * basis_phi(n, x).
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -350,14 +352,17 @@ def phi_matrix(n_max: int, xs) -> np.ndarray:
     return math.sqrt(2.0) * laguerre_scaled_seq(n_max, 2.0 / xs) / xs
 
 
-def basis_phi(n: int, x) -> float | np.ndarray:
-    """Single basis magnitude phi_n(x); see ``phi_matrix``."""
+def _single_basis(matrix: Callable, n: int, x) -> float | np.ndarray:
+    """Row n of ``matrix(n, x)``; a float for scalar ``x``."""
     if n < 0:
         raise InputError("basis index must be >= 0")
-    scalar = np.isscalar(x)
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    out = phi_matrix(n, xs)[n]
-    return float(out[0]) if scalar else out
+    out = matrix(n, np.atleast_1d(np.asarray(x, dtype=float)))[n]
+    return float(out[0]) if np.isscalar(x) else out
+
+
+def basis_phi(n: int, x) -> float | np.ndarray:
+    """Single basis magnitude phi_n(x); see ``phi_matrix``."""
+    return _single_basis(phi_matrix, n, x)
 
 
 def default_grid() -> np.ndarray:
@@ -368,20 +373,22 @@ def default_grid() -> np.ndarray:
     )
 
 
-def reconstruct_jump(c: np.ndarray, m_t: int, xs) -> np.ndarray:
-    """Truncated expansion sum_{n<=m_t} c_n phi_n(x) on the grid ``xs``."""
+def _head(c: np.ndarray, m_t: int) -> np.ndarray:
+    """Coefficients 0..m_t as floats; InputError if ``m_t`` is out of range."""
     c = np.asarray(c, dtype=float)
     if not 0 <= m_t < c.size:
         raise InputError(f"m_t = {m_t} outside the available 0..{c.size - 1}")
-    return c[: m_t + 1] @ phi_matrix(m_t, xs)
+    return c[: m_t + 1]
+
+
+def reconstruct_jump(c: np.ndarray, m_t: int, xs) -> np.ndarray:
+    """Truncated expansion sum_{n<=m_t} c_n phi_n(x) on the grid ``xs``."""
+    return _head(c, m_t) @ phi_matrix(m_t, xs)
 
 
 def expansion_fn(c: np.ndarray, m_t: int) -> Callable[[np.ndarray], np.ndarray]:
     """Vectorized callable x -> truncated expansion, for the integral checks."""
-    c = np.asarray(c, dtype=float)
-    if not 0 <= m_t < c.size:
-        raise InputError(f"m_t = {m_t} outside the available 0..{c.size - 1}")
-    head = c[: m_t + 1]
+    head = _head(c, m_t)
 
     def j(x):
         return head @ phi_matrix(m_t, np.atleast_1d(np.asarray(x, dtype=float)))
@@ -408,6 +415,32 @@ class ErrorReport:
         }
 
 
+def _trapezoid_l2(
+    xs: np.ndarray,
+    j_rec: np.ndarray,
+    truth: Callable,
+    domain: tuple[float, float],
+    where: str,
+    weight: Callable | None = None,
+) -> ErrorReport:
+    """Composite-trapezoid L^2 error, optionally weighted, over the samples in
+    ``domain``; ``where`` names the domain in the too-sparse message."""
+    xs = np.asarray(xs, dtype=float)
+    j_rec = np.asarray(j_rec, dtype=float)
+    lo, hi = domain
+    mask = (xs >= lo) & (xs <= hi)
+    if mask.sum() < 8:
+        raise InputError(f"sample grid too sparse on {where}")
+    x = xs[mask]
+    w = 1.0 if weight is None else weight(x)
+    jt = np.asarray(truth(x), dtype=float)
+    err_sq = float(np.trapezoid(w * (j_rec[mask] - jt) ** 2, x))
+    norm_sq = float(np.trapezoid(w * jt**2, x))
+    l2_abs = math.sqrt(max(err_sq, 0.0))
+    l2_rel = math.sqrt(err_sq / norm_sq) if norm_sq > 0.0 else None
+    return ErrorReport(l2_abs=l2_abs, l2_rel=l2_rel, domain=(lo, hi))
+
+
 def l2_error(
     xs: np.ndarray,
     j_rec: np.ndarray,
@@ -421,19 +454,7 @@ def l2_error(
     relative form divides by the truth's norm on the same domain; a
     zero-norm truth reports the absolute error only.
     """
-    xs = np.asarray(xs, dtype=float)
-    j_rec = np.asarray(j_rec, dtype=float)
-    lo, hi = domain
-    mask = (xs >= lo) & (xs <= hi)
-    if mask.sum() < 8:
-        raise InputError("sample grid too sparse on the error domain")
-    x = xs[mask]
-    jt = np.asarray(truth(x), dtype=float)
-    err_sq = float(np.trapezoid((j_rec[mask] - jt) ** 2, x))
-    norm_sq = float(np.trapezoid(jt**2, x))
-    l2_abs = math.sqrt(max(err_sq, 0.0))
-    l2_rel = math.sqrt(err_sq / norm_sq) if norm_sq > 0.0 else None
-    return ErrorReport(l2_abs=l2_abs, l2_rel=l2_rel, domain=(lo, hi))
+    return _trapezoid_l2(xs, j_rec, truth, domain, "the error domain")
 
 
 _CHECK_TOL = dict(abs_tol=1e-9, rel_tol=1e-9, max_intervals=4000)
@@ -498,6 +519,28 @@ def density_check(j: Callable, xs: np.ndarray | None = None) -> DensityReport:
 # --------------------------------------------------------------------------
 
 
+def _report_dict(report, c_key: str, grid_key: str, errors_key: str) -> dict:
+    """The JSON-ready form shared by both report types; the keys name the
+    fields that differ between them (and are the JSON keys too)."""
+    errors = getattr(report, errors_key)
+    grid, j_rec, j_true = getattr(report, grid_key), report.j_rec, report.j_true
+    if j_true is None:
+        samples = [[float(x), float(j)] for x, j in zip(grid, j_rec)]
+    else:
+        samples = [[float(x), float(j), float(t)] for x, j, t in zip(grid, j_rec, j_true)]
+    return {
+        "source": report.source,
+        c_key: [float(v) for v in getattr(report, c_key)],
+        "M": [float(v) for v in report.M],
+        "plateau": list(report.plateau) if report.plateau is not None else None,
+        "m_t": report.m_t,
+        "confident": report.confident,
+        "decay_exponent": report.decay_exponent,
+        "samples": samples,
+        errors_key: errors.to_dict() if errors is not None else None,
+    }
+
+
 @dataclass(frozen=True)
 class ReconstructionReport:
     """Everything one run produces, JSON-ready via ``to_dict``."""
@@ -515,25 +558,48 @@ class ReconstructionReport:
     decay_exponent: float = 0.0
 
     def to_dict(self) -> dict:
-        samples = [
-            [float(x), float(j)] if self.j_true is None else [float(x), float(j), float(t)]
-            for x, j, t in zip(
-                self.xs,
-                self.j_rec,
-                self.j_true if self.j_true is not None else np.zeros_like(self.j_rec),
-            )
-        ]
-        return {
-            "source": self.source,
-            "c": [float(v) for v in self.c],
-            "M": [float(v) for v in self.M],
-            "plateau": list(self.plateau) if self.plateau is not None else None,
-            "m_t": self.m_t,
-            "confident": self.confident,
-            "decay_exponent": self.decay_exponent,
-            "samples": samples,
-            "errors": self.errors.to_dict() if self.errors is not None else None,
-        }
+        return _report_dict(self, "c", "xs", "errors")
+
+
+def _run_pipeline(
+    values: np.ndarray,
+    n_max: int,
+    policy: PlateauPolicy | None,
+    grid,
+    default: Callable[[], np.ndarray],
+    resum: Callable,
+    truth: Callable | None,
+    error: Callable,
+) -> dict:
+    """The pipeline both variants share, returning the report fields under
+    the power-series names.
+
+    Synthesis, energies, plateau and confidence, then resummation on
+    ``grid`` (``default()`` when None) and, given a truth, its samples and
+    ``error(grid, j_rec, truth)``.
+    """
+    synth = synthesize_raw(values, n_max)
+    M = partial_energies(synth.c)
+    det = detect_plateau(M, policy)
+    xs = default() if grid is None else np.asarray(grid, dtype=float)
+    j_rec = resum(synth.c, det.m_t, xs)
+    j_true = None
+    errors = None
+    if truth is not None:
+        j_true = truth(xs)
+        errors = error(xs, j_rec, truth)
+    return dict(
+        c=synth.c,
+        M=M,
+        plateau=det.plateau,
+        m_t=det.m_t,
+        confident=det.confident and values.size >= 2,  # single-coefficient runs are degenerate
+        xs=xs,
+        j_rec=j_rec,
+        j_true=j_true,
+        errors=errors,
+        decay_exponent=det.decay_exponent,
+    )
 
 
 def build_report(
@@ -545,27 +611,6 @@ def build_report(
     error_domain: tuple[float, float] = (1.0, 50.0),
 ) -> ReconstructionReport:
     """Run the full pipeline on a coefficient set."""
-    synth = synthesize_coefficients(g, n_max=n_max)
-    M = partial_energies(synth.c)
-    det = detect_plateau(M, policy)
-    confident = det.confident and g.values.size >= 2  # single-coefficient runs are degenerate
-    xs = default_grid() if grid is None else np.asarray(grid, dtype=float)
-    j_rec = reconstruct_jump(synth.c, det.m_t, xs)
-    j_true = None
-    errors = None
-    if truth is not None:
-        j_true = truth(xs)
-        errors = l2_error(xs, j_rec, truth, domain=error_domain)
-    return ReconstructionReport(
-        c=synth.c,
-        M=M,
-        plateau=det.plateau,
-        m_t=det.m_t,
-        confident=confident,
-        xs=xs,
-        j_rec=j_rec,
-        j_true=j_true,
-        errors=errors,
-        source=g.source,
-        decay_exponent=det.decay_exponent,
-    )
+    error = functools.partial(l2_error, domain=error_domain)
+    fields = _run_pipeline(g.values, n_max, policy, grid, default_grid, reconstruct_jump, truth, error)
+    return ReconstructionReport(source=g.source, **fields)

@@ -2,9 +2,10 @@
 
 Complex log-gamma (Lanczos), Laguerre and Meixner-Pollaczek polynomial
 sequences, the rotated real-valued Meixner-Pollaczek recurrence used by the
-coefficient synthesis (in exact integers; its extended-precision form serves
-as a reference), adaptive Gauss-Kronrod quadrature, and an extended-precision
-scalar type with explicit precision control.
+coefficient synthesis (in exact integers; its extended-precision form, as
+raw mpmath floats, serves as a reference), and adaptive Gauss-Kronrod
+quadrature.  Synthesis is exact, so there is no extended-precision scalar
+type.
 
 All functions here are pure.  The one piece of shared state is the cache of
 ``rotated_int_seq``, which only ever appends exact integers under a lock, so
@@ -16,24 +17,20 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
-from typing import Callable, Literal
+from typing import Callable
 
-import mpmath
 import numpy as np
 from mpmath import mp
 
 from .errors import ConfigError, ConvergenceError, DomainError
 
 __all__ = [
-    "ExtReal",
-    "PolyFamily",
     "QuadratureResult",
     "integrate_adaptive",
     "laguerre_scaled_seq",
     "laguerre_seq",
     "ln_gamma_complex",
     "mp_real_seq",
-    "mp_rotated_seq",
     "mp_weight",
     "rotated_int_seq",
 ]
@@ -233,140 +230,6 @@ def rotated_int_seq(n_max: int, k: int) -> list[int]:
             assert r == 0, "the rotated recurrence must divide exactly"
             row.append(q)
         return row[: n_max + 1]
-
-
-@dataclass(frozen=True)
-class ExtReal:
-    """Extended-precision real scalar with an explicit precision in bits.
-
-    Arithmetic is deterministic: identical operands and precisions produce
-    bit-identical results on every platform.  Mixed-precision operations
-    round to the larger operand's precision.
-    """
-
-    value: mpmath.mpf
-    precision: int
-
-    def __post_init__(self):
-        if self.precision < MIN_PRECISION_BITS:
-            raise ConfigError(
-                f"precision: {self.precision} bits is below the {MIN_PRECISION_BITS}-bit minimum"
-            )
-
-    @classmethod
-    def from_float(cls, x: float, precision: int) -> "ExtReal":
-        if precision < MIN_PRECISION_BITS:
-            raise ConfigError(
-                f"precision: {precision} bits is below the {MIN_PRECISION_BITS}-bit minimum"
-            )
-        with mp.workprec(precision):
-            v = mp.mpf(x)
-        return cls(v, precision)
-
-    @classmethod
-    def from_str(cls, s: str, precision: int) -> "ExtReal":
-        if precision < MIN_PRECISION_BITS:
-            raise ConfigError(
-                f"precision: {precision} bits is below the {MIN_PRECISION_BITS}-bit minimum"
-            )
-        with mp.workprec(precision):
-            v = mp.mpf(s)
-        return cls(v, precision)
-
-    def _coerce(self, other):
-        if isinstance(other, ExtReal):
-            return other.value, max(self.precision, other.precision)
-        if isinstance(other, (int, float)):
-            return mpmath.mpf(other), self.precision
-        return NotImplemented, None
-
-    def _binop(self, other, fn):
-        v, prec = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return ExtReal(fn(self.value, v, prec=prec, rounding="n"), prec)
-
-    def __add__(self, other):
-        return self._binop(other, mpmath.fadd)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self._binop(other, mpmath.fsub)
-
-    def __rsub__(self, other):
-        v, prec = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return ExtReal(mpmath.fsub(v, self.value, prec=prec, rounding="n"), prec)
-
-    def __mul__(self, other):
-        return self._binop(other, mpmath.fmul)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return self._binop(other, mpmath.fdiv)
-
-    def __rtruediv__(self, other):
-        v, prec = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return ExtReal(mpmath.fdiv(v, self.value, prec=prec, rounding="n"), prec)
-
-    def __neg__(self):
-        return ExtReal(-self.value, self.precision)
-
-    def __abs__(self):
-        return ExtReal(abs(self.value), self.precision)
-
-    def __float__(self):
-        return float(self.value)
-
-    def __eq__(self, other):
-        if isinstance(other, ExtReal):
-            return self.value == other.value
-        return self.value == other
-
-    def __lt__(self, other):
-        return self.value < (other.value if isinstance(other, ExtReal) else other)
-
-    def __le__(self, other):
-        return self.value <= (other.value if isinstance(other, ExtReal) else other)
-
-
-def mp_rotated_seq(n_max: int, k: int, precision: int = 320) -> list[ExtReal]:
-    """Rotated Meixner-Pollaczek values q_n = i^{-n} P_n(-i(k+1/2)) as ExtReal.
-
-    See ``rotated_seq_raw`` for the recurrence.  These are the real numbers
-    the coefficient synthesis accumulates; the i^n phase is reattached only
-    when a genuinely complex value is needed.
-    """
-    return [ExtReal(q, precision) for q in rotated_seq_raw(n_max, k, precision)]
-
-
-@dataclass(frozen=True)
-class PolyFamily:
-    """Descriptor for the polynomial families used in the expansions.
-
-    The Meixner-Pollaczek family is fixed at alpha = 1/2; that is the only
-    normalization for which the weight (1/pi)|Gamma(1/2 + i y)|^2 makes the
-    family orthonormal with constant 1.
-    """
-
-    kind: Literal["laguerre", "meixner_pollaczek"]
-    alpha: float = 0.5
-
-    def __post_init__(self):
-        if self.kind not in ("laguerre", "meixner_pollaczek"):
-            raise ConfigError(f"kind: unknown polynomial family {self.kind!r}")
-        if self.kind == "meixner_pollaczek" and self.alpha != 0.5:
-            raise ConfigError("alpha: the Meixner-Pollaczek family is fixed at alpha = 1/2")
-
-    def eval_seq(self, n_max: int, x) -> np.ndarray:
-        if self.kind == "laguerre":
-            return laguerre_seq(n_max, x)
-        return mp_real_seq(n_max, x)
 
 
 # --------------------------------------------------------------------------

@@ -1,11 +1,14 @@
 """Thermal (imaginary-time to real-time) reconstruction, boson sector.
 
 The input is the positive-frequency half of a boson Matsubara-type Fourier
-coefficient sequence, indexed from k = 1.  The machinery is the power-series
-synthesis applied to the shifted sequence h_k = g_{k+1}; the basis lives in
-the logarithmic variable v = ln x, convergence holds in L^2 with weight
-e^{-v}, and the period is fixed at 2*pi by the standard rescaling of the
-imaginary-time variable (general periods are a relabeling left to callers).
+coefficient sequence, indexed from k = 1.  The pipeline is the power-series
+one (``reconstruct._run_pipeline``: synthesis, energies, plateau
+truncation, resummation, error) run on the shifted sequence h_k = g_{k+1};
+only the grid, the resummation and the error metric differ.  The basis
+lives in the logarithmic variable v = ln x, convergence holds in L^2 with
+weight e^{-v}, and the period is fixed at 2*pi by the standard rescaling of
+the imaginary-time variable, so a problem carries no period field (general
+periods are a relabeling left to callers).
 
 The negative-frequency branch is the mirror image v -> -v of this one and is
 exposed only as a reflection wrapper.
@@ -13,6 +16,7 @@ exposed only as a reflection wrapper.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -25,8 +29,11 @@ from .reconstruct import (
     ErrorReport,
     PlateauPolicy,
     SynthesisResult,
-    detect_plateau,
-    partial_energies,
+    _head,
+    _report_dict,
+    _run_pipeline,
+    _single_basis,
+    _trapezoid_l2,
     synthesize_raw,
 )
 from .specfun import laguerre_scaled_seq, ln_gamma_complex, mp_real_seq
@@ -47,7 +54,6 @@ __all__ = [
     "weighted_l2_error",
 ]
 
-BETA = 2.0 * math.pi  # fixed period after rescaling
 DEFAULT_V_MAX = 15.0  # e^{-v} |J|^2 below 1e-12 beyond this for all corpus truths
 
 
@@ -57,13 +63,10 @@ class ThermalProblem:
 
     coefficients: CoefficientSet
     truth: JumpGroundTruth | None = None
-    beta: float = BETA
 
     def __post_init__(self):
         if self.coefficients.start_index != 1:
             raise InputError("thermal coefficient sets must start at index 1")
-        if self.beta != BETA:
-            raise InputError("the period is fixed at 2*pi; rescale the variable instead")
 
 
 def thermal_problem(
@@ -97,12 +100,7 @@ def psi_matrix(n_max: int, vs) -> np.ndarray:
 
 def basis_psi_big(n: int, v) -> float | np.ndarray:
     """Single basis magnitude; see ``psi_matrix``."""
-    if n < 0:
-        raise InputError("basis index must be >= 0")
-    scalar = np.isscalar(v)
-    vs = np.atleast_1d(np.asarray(v, dtype=float))
-    out = psi_matrix(n, vs)[n]
-    return float(out[0]) if scalar else out
+    return _single_basis(psi_matrix, n, v)
 
 
 def default_v_grid(v_max: float = DEFAULT_V_MAX, n_points: int = 1200) -> np.ndarray:
@@ -116,13 +114,9 @@ def reconstruct_thermal(frak_c: np.ndarray, m_t: int, vs) -> np.ndarray:
     implementation sums sqrt(2) c_n L_n(2 e^{-v}) e^{-e^{-v}} directly and
     stays finite for arbitrarily large v.
     """
-    frak_c = np.asarray(frak_c, dtype=float)
-    if not 0 <= m_t < frak_c.size:
-        raise InputError(f"m_t = {m_t} outside the available 0..{frak_c.size - 1}")
-    vs = np.asarray(vs, dtype=float)
-    t = 2.0 * np.exp(-vs)
-    table = math.sqrt(2.0) * laguerre_scaled_seq(m_t, t)
-    return frak_c[: m_t + 1] @ table
+    head = _head(frak_c, m_t)
+    t = 2.0 * np.exp(-np.asarray(vs, dtype=float))
+    return head @ (math.sqrt(2.0) * laguerre_scaled_seq(m_t, t))
 
 
 def weighted_l2_error(
@@ -132,19 +126,7 @@ def weighted_l2_error(
     v_max: float = DEFAULT_V_MAX,
 ) -> ErrorReport:
     """L^2 error with weight e^{-v} over [0, v_max] by composite trapezoid."""
-    vs = np.asarray(vs, dtype=float)
-    j_rec = np.asarray(j_rec, dtype=float)
-    mask = (vs >= 0.0) & (vs <= v_max)
-    if mask.sum() < 8:
-        raise InputError("sample grid too sparse on [0, v_max]")
-    v = vs[mask]
-    w = np.exp(-v)
-    jt = np.asarray(truth(v), dtype=float)
-    err_sq = float(np.trapezoid(w * (j_rec[mask] - jt) ** 2, v))
-    norm_sq = float(np.trapezoid(w * jt**2, v))
-    l2_abs = math.sqrt(max(err_sq, 0.0))
-    l2_rel = math.sqrt(err_sq / norm_sq) if norm_sq > 0.0 else None
-    return ErrorReport(l2_abs=l2_abs, l2_rel=l2_rel, domain=(0.0, v_max))
+    return _trapezoid_l2(vs, j_rec, truth, (0.0, v_max), "[0, v_max]", weight=lambda v: np.exp(-v))
 
 
 def synthesize_line_coefficients(problem: ThermalProblem, n_max: int = DEFAULT_N_MAX) -> SynthesisResult:
@@ -167,13 +149,11 @@ def gtilde_line_expansion(d_hat: np.ndarray, m_t: int, nus) -> np.ndarray:
     coefficients the result satisfies f(-nu) = conj(f(nu)), and |f| decays
     as nu -> +-inf.
     """
-    d_hat = np.asarray(d_hat, dtype=float)
-    if not 0 <= m_t < d_hat.size:
-        raise InputError(f"m_t = {m_t} outside the available 0..{d_hat.size - 1}")
+    head = _head(d_hat, m_t)
     nus = np.atleast_1d(np.asarray(nus, dtype=float))
     P = mp_real_seq(m_t, nus)
     phases = 1j ** np.arange(m_t + 1)
-    series = (d_hat[: m_t + 1] * phases) @ P
+    series = (head * phases) @ P
     gamma_vals = np.array([np.exp(ln_gamma_complex(complex(0.5, nu))) for nu in nus])
     return gamma_vals * series / math.sqrt(math.pi)
 
@@ -206,25 +186,13 @@ class ThermalReport:
     decay_exponent: float = 0.0
 
     def to_dict(self) -> dict:
-        samples = [
-            [float(v), float(j)] if self.j_true is None else [float(v), float(j), float(t)]
-            for v, j, t in zip(
-                self.vs,
-                self.j_rec,
-                self.j_true if self.j_true is not None else np.zeros_like(self.j_rec),
-            )
-        ]
-        return {
-            "source": self.source,
-            "frak_c": [float(v) for v in self.frak_c],
-            "M": [float(v) for v in self.M],
-            "plateau": list(self.plateau) if self.plateau is not None else None,
-            "m_t": self.m_t,
-            "confident": self.confident,
-            "decay_exponent": self.decay_exponent,
-            "samples": samples,
-            "weighted_errors": self.weighted_errors.to_dict() if self.weighted_errors else None,
-        }
+        return _report_dict(self, "frak_c", "vs", "weighted_errors")
+
+
+def _resum_on_v(frak_c: np.ndarray, m_t: int, vs: np.ndarray) -> np.ndarray:
+    if np.any(vs < 0.0):
+        raise DomainError("thermal reconstruction grids live on v >= 0")
+    return reconstruct_thermal(frak_c, m_t, vs)
 
 
 def build_thermal_report(
@@ -234,30 +202,22 @@ def build_thermal_report(
     grid: np.ndarray | None = None,
     v_max: float = DEFAULT_V_MAX,
 ) -> ThermalReport:
-    """Run the full thermal pipeline on a problem."""
-    synth = synthesize_thermal(problem, n_max=n_max)
-    M = partial_energies(synth.c)
-    det = detect_plateau(M, policy)
-    confident = det.confident and problem.coefficients.values.size >= 2
-    vs = default_v_grid(v_max) if grid is None else np.asarray(grid, dtype=float)
-    if np.any(vs < 0.0):
-        raise DomainError("thermal reconstruction grids live on v >= 0")
-    j_rec = reconstruct_thermal(synth.c, det.m_t, vs)
-    j_true = None
-    errors = None
-    if problem.truth is not None:
-        j_true = problem.truth(vs)
-        errors = weighted_l2_error(vs, j_rec, problem.truth, v_max=v_max)
+    """Run the full thermal pipeline on a problem: the power-series pipeline
+    on h_k = g_{k+1}, resummed and scored in v = ln x."""
+    fields = _run_pipeline(
+        problem.coefficients.values,
+        n_max,
+        policy,
+        grid,
+        lambda: default_v_grid(v_max),
+        _resum_on_v,
+        problem.truth,
+        functools.partial(weighted_l2_error, v_max=v_max),
+    )
     return ThermalReport(
-        frak_c=synth.c,
-        M=M,
-        plateau=det.plateau,
-        m_t=det.m_t,
-        confident=confident,
-        vs=vs,
-        j_rec=j_rec,
-        j_true=j_true,
-        weighted_errors=errors,
+        frak_c=fields.pop("c"),
+        vs=fields.pop("xs"),
+        weighted_errors=fields.pop("errors"),
         source=problem.coefficients.source,
-        decay_exponent=det.decay_exponent,
+        **fields,
     )

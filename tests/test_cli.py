@@ -154,9 +154,14 @@ def test_config_escalation_budget_is_unknown_field(tmp_path, capsys):
     assert not (tmp_path / "normalized_rational_report.json").exists()
 
 
-@pytest.mark.parametrize("command,first_index", [("reconstruct", 0), ("thermal", 1)])
-def test_coefficients_near_float_limit_exit_one(tmp_path, capsys, command, first_index):
-    # c_0 = sqrt(2) (1 + 1 + 1/2) 1e308 overflows: exit 1 naming c_0, no report.
+@pytest.mark.parametrize(
+    "command,first_index,needle",
+    [("reconstruct", 0, "c_0"), ("thermal", 1, "c_0"), ("moments", 0, "row 0")],
+    ids=["reconstruct-0", "thermal-1", "moments-0"],
+)
+def test_coefficients_near_float_limit_exit_one(tmp_path, capsys, command, first_index, needle):
+    # c_0 = sqrt(2) (1 + 1 + 1/2) 1e308 overflows, and so does the L^p
+    # statistic of moment row 0, |1e308|^p: exit 1 naming it, no report.
     f = tmp_path / "huge.csv"
     values = ["1e308", "-1e308", "1e308"]
     f.write_text("".join(f"{first_index + i},{v}\n" for i, v in enumerate(values)))
@@ -164,8 +169,22 @@ def test_coefficients_near_float_limit_exit_one(tmp_path, capsys, command, first
     code = run_cli([command, "--input", str(f), "--out", str(out)])
     assert code == cli.EXIT_ERROR
     err = capsys.readouterr().err
-    assert "c_0" in err
+    assert needle in err
+    assert "Traceback" not in err
     assert not list(out.glob("*.json"))
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [("n_coeffs", "60"), ("epsilon", None), ("n_max", 1.5), ("expect_positive", "no")],
+)
+def test_config_value_of_wrong_type_exits_one_naming_field(tmp_path, capsys, field, value):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"problem": "harmonic", field: value}))
+    code = run_cli(["moments", "--config", str(config), "--out", str(tmp_path)])
+    assert code == cli.EXIT_ERROR
+    assert f"config: {field} must be" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*_moments.json"))
 
 
 def test_config_file_with_flag_override(tmp_path):

@@ -6,20 +6,15 @@ import mpmath
 import numpy as np
 import pytest
 import scipy.special
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from mpmath import mp
 
 from cutjump.errors import ConfigError, ConvergenceError, DomainError
 from cutjump.specfun import (
-    ExtReal,
-    PolyFamily,
     integrate_adaptive,
     laguerre_scaled_seq,
     laguerre_seq,
     ln_gamma_complex,
     mp_real_seq,
-    mp_rotated_seq,
     mp_weight,
     rotated_int_seq,
     rotated_seq_raw,
@@ -259,66 +254,14 @@ def test_rotated_int_seq_is_thread_safe():
 
 
 def test_rotated_seq_trivial_values():
-    qs = mp_rotated_seq(1, 0, 128)
-    assert float(qs[0]) == 1.0
-    assert float(qs[1]) == -1.0  # i^{-1} P_1(-i/2) with P_1(y) = 2y
+    assert rotated_int_seq(1, 0) == [1, -1]  # i^{-1} P_1(-i/2) with P_1(y) = 2y
     for k in (1, 5, 11):
-        assert float(mp_rotated_seq(0, k, 64)[0]) == 1.0
+        assert rotated_int_seq(0, k) == [1]
 
 
 def test_rotated_seq_rejects_low_precision():
     with pytest.raises(ConfigError):
-        mp_rotated_seq(4, 1, 32)
-
-
-# ----------------------------------------------------------------- ExtReal
-
-
-def test_extreal_determinism_and_precision_rules():
-    a = ExtReal.from_str("1.1", 96)
-    b = ExtReal.from_str("2.7", 128)
-    s1 = a * b + a / b
-    s2 = a * b + a / b
-    assert s1.value == s2.value  # bit-identical repetition
-    assert s1.precision == 128  # rounds to the larger operand's precision
-    assert float(abs(-a)) == float(a)
-    assert (a + 0.0).precision == 96
-
-
-def test_extreal_matches_reference_arithmetic():
-    a = ExtReal.from_float(1.25, 256)
-    b = ExtReal.from_float(3.5, 256)
-    assert float(a + b) == 4.75
-    assert float(a * b) == 4.375
-    assert float(2.0 - a) == 0.75
-    assert float(7.0 / b) == 2.0
-
-
-def test_extreal_rejects_low_precision():
-    with pytest.raises(ConfigError):
-        ExtReal.from_float(1.0, 63)
-
-
-@given(st.floats(-1e6, 1e6, allow_nan=False), st.floats(-1e6, 1e6, allow_nan=False))
-@settings(max_examples=50, deadline=None)
-def test_extreal_addition_is_deterministic(x, y):
-    a = ExtReal.from_float(x, 96)
-    b = ExtReal.from_float(y, 96)
-    assert (a + b).value == (a + b).value
-    assert float(a + b) == pytest.approx(x + y, rel=1e-15, abs=1e-300)
-
-
-# -------------------------------------------------------------- PolyFamily
-
-
-def test_poly_family_alpha_pinned():
-    fam = PolyFamily("meixner_pollaczek")
-    assert fam.alpha == 0.5
-    with pytest.raises(ConfigError):
-        PolyFamily("meixner_pollaczek", alpha=1.0)
-    lag = PolyFamily("laguerre")
-    np.testing.assert_allclose(lag.eval_seq(1, 2.0), [1.0, -1.0])
-    np.testing.assert_allclose(fam.eval_seq(1, 0.7), [1.0, 1.4])
+        rotated_seq_raw(4, 1, 32)
 
 
 # ------------------------------------------------------------- quadrature

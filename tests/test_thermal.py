@@ -36,9 +36,10 @@ def test_thermal_requires_index_one_start():
 
 
 def test_beta_is_pinned():
+    # The period is fixed at 2*pi; a problem has no period field to set.
     spec = corpus.builtin("thermal_boson_demo")
     cs = corpus.coefficients(spec, 10)
-    with pytest.raises(InputError):
+    with pytest.raises(TypeError):
         ThermalProblem(coefficients=cs, beta=1.0)
 
 
