@@ -7,7 +7,7 @@ against its field's type; an invalid value exits with code 1 and a message
 naming the offending field.  Identical
 configurations (seeds included) produce byte-identical JSON and CSV output.
 
-Exit codes: 0 clean run; 1 parse/IO/config error, or input whose
+Exit codes: 0 clean run; 1 usage/parse/IO/config error, or input whose
 coefficients or energies fall outside the double range; 2 failed positivity
 under ``--expect-positive``.  JSON reports never contain NaN or Infinity.
 Sweep cells run in a process pool capped by the CUTJUMP_THREADS environment
@@ -18,7 +18,9 @@ failure makes the exit code nonzero.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
+import math
 import os
 import sys
 import typing
@@ -39,6 +41,17 @@ EXIT_POSITIVITY = 2
 # --------------------------------------------------------------------------
 # Configuration
 # --------------------------------------------------------------------------
+
+
+def _check_finite(name: str, value: float) -> None:
+    """ConfigError unless ``value`` is finite; JSON configs can also give
+    integers beyond the double range."""
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise ConfigError(f"{name}: must be finite, got {value!r}")
 
 
 @dataclass
@@ -69,20 +82,23 @@ class RunConfig:
             )
         if self.n_coeffs < 0:
             raise ConfigError("n-coeffs: must be >= 0")
+        _check_finite("epsilon", self.epsilon)
         if self.epsilon < 0.0:
             raise ConfigError("epsilon: must be >= 0")
-        if not -(2**63) <= self.seed < 2**64:
-            raise ConfigError("seed: must fit in 64 bits")
+        if not 0 <= self.seed < 2**64:
+            raise ConfigError("seed: must be in 0..2^64-1")
         if self.n_max < 0:
             raise ConfigError("n-max: must be >= 0")
-        if not self.plateau_theta > 0.0:
-            raise ConfigError("plateau-theta: must be > 0")
+        if not 0.0 < self.plateau_theta < reconstruct.DIVERGENCE_GROWTH:
+            raise ConfigError(f"plateau-theta: must be > 0 and < {reconstruct.DIVERGENCE_GROWTH}")
         if self.plateau_window < 2:
             raise ConfigError("plateau-window: must be >= 2")
         if self.emit not in ("json", "csv", "both"):
             raise ConfigError("emit: must be one of json, csv, both")
-        if self.p_exponent is not None and self.p_exponent <= 1.0:
-            raise ConfigError("p-exponent: must exceed 1")
+        if self.p_exponent is not None:
+            _check_finite("p-exponent", self.p_exponent)
+            if self.p_exponent <= 1.0:
+                raise ConfigError("p-exponent: must exceed 1")
         if self.f_mode not in ("none", "k_plus_1", "k"):
             raise ConfigError("f-mode: must be one of none, k_plus_1, k")
 
@@ -123,23 +139,35 @@ class SweepConfig:
         self.base.validate()
         if self.base.problem is None:
             raise ConfigError("problem: sweeps need a built-in problem")
+        if corpus.builtin(self.base.problem).start_index != 0:
+            raise ConfigError(
+                f"problem: {self.base.problem} is a thermal problem; sweeps run power series only"
+            )
         if not self.epsilons:
             raise ConfigError("epsilons: at least one value required")
-        if any(e < 0.0 for e in self.epsilons):
-            raise ConfigError("epsilons: must be >= 0")
+        for e in self.epsilons:
+            _check_finite("epsilons", e)
+            if e < 0.0:
+                raise ConfigError("epsilons: must be >= 0")
         if not self.ns:
             raise ConfigError("n-list: at least one value required")
         if any(n < 1 for n in self.ns):
             raise ConfigError("n-list: entries must be >= 1")
         if self.repeats < 1:
             raise ConfigError("repeats: must be >= 1")
+        n_cells = len(self.ns) * len(self.epsilons)
+        last_seed = self.seed_base + self.SEED_STRIDE * (n_cells - 1) + self.repeats - 1
+        if self.seed_base < 0 or last_seed >= 2**64:
+            raise ConfigError("seed-base: must be >= 0, with every cell seed below 2^64")
 
-    def cells(self) -> list[tuple[int, float, int, int]]:
+    def cells(self) -> list[tuple[int, RunConfig]]:
+        """(repeat, run configuration) of every cell."""
         out = []
         ordered = sorted((n, e) for n in self.ns for e in self.epsilons)
         for cell_index, (n, e) in enumerate(ordered):
             for r in range(self.repeats):
-                out.append((n, e, r, self.seed_base + self.SEED_STRIDE * cell_index + r))
+                seed = self.seed_base + self.SEED_STRIDE * cell_index + r
+                out.append((r, dataclasses.replace(self.base, n_coeffs=n, epsilon=e, seed=seed)))
         return out
 
 
@@ -224,26 +252,32 @@ def cmd_moments(config: RunConfig) -> int:
     return EXIT_OK
 
 
+def _coefficients(
+    config: RunConfig, is_thermal: bool
+) -> tuple[corpus.CoefficientSet, corpus.JumpGroundTruth | None]:
+    """The coefficient set of a run, noise included, and its truth (None for
+    file input); InputError if the problem belongs to the other variant."""
+    if config.problem is None:
+        load = corpus.load_thermal_coefficients if is_thermal else corpus.load_coefficients
+        cs = load(config.input_path)
+        if config.epsilon > 0.0:
+            cs = corpus.add_noise(cs, config.epsilon, config.seed)
+        return cs, None
+    spec = corpus.builtin(config.problem)
+    if is_thermal and spec.start_index != 1:
+        raise InputError(f"{spec.id} is not a thermal problem")
+    if not is_thermal and spec.start_index != 0:
+        raise InputError(f"{spec.id} is a thermal problem; use the thermal subcommand")
+    return corpus.coefficients(spec, config.n_coeffs, config.epsilon, config.seed), spec.jump
+
+
 def cmd_run(command: str, config: RunConfig) -> int:
     """``reconstruct`` or ``thermal``: one pipeline run, its report and samples."""
     config.validate()
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     is_thermal = command == "thermal"
-    truth = None
-    if config.problem is not None:
-        spec = corpus.builtin(config.problem)
-        if is_thermal and spec.start_index != 1:
-            raise InputError(f"{spec.id} is not a thermal problem")
-        if not is_thermal and spec.start_index != 0:
-            raise InputError(f"{spec.id} is a thermal problem; use the thermal subcommand")
-        cs = corpus.coefficients(spec, config.n_coeffs, config.epsilon, config.seed)
-        truth = spec.jump
-    else:
-        load = corpus.load_thermal_coefficients if is_thermal else corpus.load_coefficients
-        cs = load(config.input_path)
-        if config.epsilon > 0.0:
-            cs = corpus.add_noise(cs, config.epsilon, config.seed)
+    cs, truth = _coefficients(config, is_thermal)
     if is_thermal:
         problem = thermal.ThermalProblem(coefficients=cs, truth=truth)
         report = thermal.build_thermal_report(problem, n_max=config.n_max, policy=config.policy())
@@ -278,19 +312,13 @@ SWEEP_COLUMNS = [
 ]
 
 
-def _sweep_cell(args: tuple) -> dict:
-    (problem_id, n, eps, repeat, seed, n_max, theta, window) = args
+def _sweep_cell(cell: tuple[int, RunConfig]) -> dict:
+    repeat, config = cell
     row = dict.fromkeys(SWEEP_COLUMNS)
-    row.update(N=n, epsilon=eps, repeat=repeat, seed=seed, error="")
+    row.update(N=config.n_coeffs, epsilon=config.epsilon, repeat=repeat, seed=config.seed, error="")
     try:
-        spec = corpus.builtin(problem_id)
-        cs = corpus.coefficients(spec, n, eps, seed)
-        report = reconstruct.build_report(
-            cs,
-            n_max=n_max,
-            policy=reconstruct.PlateauPolicy(theta=theta, w_min=window),
-            truth=spec.jump,
-        )
+        cs, truth = _coefficients(config, is_thermal=False)
+        report = reconstruct.build_report(cs, n_max=config.n_max, policy=config.policy(), truth=truth)
         row["plateau_lo"], row["plateau_hi"] = report.plateau
         row["m_t"] = report.m_t
         row["confident"] = report.confident
@@ -322,25 +350,12 @@ def cmd_sweep(sweep: SweepConfig) -> int:
     out_dir = Path(base.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     cells = sweep.cells()
-    args = [
-        (
-            base.problem,
-            n,
-            eps,
-            repeat,
-            seed,
-            base.n_max,
-            base.plateau_theta,
-            base.plateau_window,
-        )
-        for (n, eps, repeat, seed) in cells
-    ]
-    workers = _worker_count(len(args))
+    workers = _worker_count(len(cells))
     if workers == 1:
-        rows = [_sweep_cell(a) for a in args]
+        rows = [_sweep_cell(c) for c in cells]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_sweep_cell, args))
+            rows = list(pool.map(_sweep_cell, cells))
     rows.sort(key=lambda r: (r["N"], r["epsilon"], r["repeat"]))
     lines = [",".join(SWEEP_COLUMNS)]
     for row in rows:
@@ -391,7 +406,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     if getattr(args, "config", None):
         try:
             raw = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # ValueError: bad JSON or a too-long integer
             raise ConfigError(f"config: cannot read {args.config}: {exc}") from None
         if not isinstance(raw, dict):
             raise ConfigError("config: top level must be a JSON object")
@@ -407,8 +422,17 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     return config
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit with EXIT_ERROR (exit code 2 means failed
+    positivity); subparsers inherit the class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cutjump",
         description="Reconstruct the jump function across a power-series cut "
         "from finitely many noisy coefficients.",

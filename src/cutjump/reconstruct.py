@@ -19,7 +19,6 @@ simply sum_n c_n * basis_phi(n, x).
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -54,6 +53,13 @@ __all__ = [
 ]
 
 DEFAULT_N_MAX = 200
+# Fixed rules of the truncation-point search; ``detect_plateau`` says what
+# each one does.
+GROWTH_FLOOR = 1e-30
+BAND_LO, BAND_HI = 0.04, 0.15
+MIN_DECAY_EXPONENT = 2.0
+DIVERGENCE_GROWTH = 0.5
+ERROR_DOMAIN = (1.0, 50.0)  # the x-range of ``l2_error``
 # Working precision of the 2 sqrt(pi) prefactor of the critical-line
 # coefficients, applied once to each exact sum; far beyond the 53 bits kept.
 LINE_PREFACTOR_BITS = 256
@@ -177,36 +183,24 @@ class PlateauPolicy:
     heuristic mode: flag runs of relative energy growth below ``theta``
     lasting at least ``w_min`` steps; truncate half a window inside the end
     of the longest run.  known_energy mode: truncate at the last m with
-    M_m <= known_K.  ``band_lo``/``band_hi`` define the reported plateau
-    extent as the m-range where M stays within (-band_lo, +band_hi)
-    relative to the energy level at the truncation point.
+    M_m <= known_K.  ``theta`` must stay below ``DIVERGENCE_GROWTH``, or a
+    flat step would also count as divergence.
     """
 
     mode: str = "heuristic"
     theta: float = 1e-3
     w_min: int = 5
-    delta: float = 1e-30
     known_K: float | None = None
-    band_lo: float = 0.04
-    band_hi: float = 0.15
-    min_decay_exponent: float = 2.0
-    divergence_growth: float = 0.5
 
     def __post_init__(self):
         if self.mode not in ("heuristic", "known_energy"):
             raise ConfigError(f"mode: unknown plateau mode {self.mode!r}")
-        if not self.theta > 0.0:
-            raise ConfigError("theta: must be > 0")
+        if not 0.0 < self.theta < DIVERGENCE_GROWTH:
+            raise ConfigError(f"theta: must be > 0 and < {DIVERGENCE_GROWTH}")
         if self.w_min < 2:
             raise ConfigError("w_min: must be >= 2")
-        if not self.delta > 0.0:
-            raise ConfigError("delta: must be > 0")
         if self.mode == "known_energy" and (self.known_K is None or self.known_K <= 0.0):
             raise ConfigError("known_K: known_energy mode needs a positive energy")
-        if not (0.0 < self.band_lo < 1.0) or self.band_hi <= 0.0:
-            raise ConfigError("band_lo/band_hi: must be positive (band_lo < 1)")
-        if self.divergence_growth <= self.theta:
-            raise ConfigError("divergence_growth: must exceed theta")
 
 
 @dataclass(frozen=True)
@@ -260,10 +254,10 @@ def _energy_decay_exponent(c_sq: np.ndarray, lo: int, hi: int) -> float:
     return float(-slope)
 
 
-def _band(M: np.ndarray, m_t: int, policy: PlateauPolicy) -> tuple[int, int]:
+def _band(M: np.ndarray, m_t: int) -> tuple[int, int]:
     level = float(M[m_t])
-    lo_thr = (1.0 - policy.band_lo) * level
-    hi_thr = (1.0 + policy.band_hi) * level
+    lo_thr = (1.0 - BAND_LO) * level
+    hi_thr = (1.0 + BAND_HI) * level
     a = int(np.searchsorted(M, lo_thr, side="left"))
     b = int(np.searchsorted(M, hi_thr, side="right")) - 1
     return a, min(max(b, m_t), len(M) - 1)
@@ -273,18 +267,19 @@ def detect_plateau(M: Sequence[float], policy: PlateauPolicy | None = None) -> P
     """Locate the plateau of the partial energies and pick a truncation index.
 
     Heuristic mode anchors on the longest run of relative growth
-    (M_{m+1}-M_m)/max(M_m, delta) <= theta with length >= w_min (ties broken
-    toward the later run) and truncates w_min//2 + 1 steps inside its end,
-    where the expansion is most converged but not yet edge-contaminated.
-    Without a qualifying run the flattest w_min-step window is used and the
-    result is flagged unconfident.  The reported plateau is the band where M
-    stays within (-band_lo, +band_hi) of the truncation level; on a plot of
-    M against m that band is exactly the stretch that looks flat.
+    (M_{m+1}-M_m)/max(M_m, GROWTH_FLOOR) <= theta with length >= w_min (ties
+    broken toward the later run) and truncates w_min//2 + 1 steps inside its
+    end, where the expansion is most converged but not yet edge-contaminated.
+    Runs starting at or after the first step with growth >= DIVERGENCE_GROWTH
+    do not count.  Without a qualifying run the flattest w_min-step window is
+    used and the result is flagged unconfident.  The reported plateau is the
+    band where M stays within (-BAND_LO, +BAND_HI) of the truncation level;
+    on a plot of M against m that band is exactly the stretch that looks flat.
 
     Confidence additionally requires the energy increments over the run to
-    decay at least like m^-2; slower decay is the signature of a
-    discontinuous jump function, whose truncated expansion cannot be
-    trusted pointwise.
+    decay at least like m^-MIN_DECAY_EXPONENT = m^-2; slower decay is the
+    signature of a discontinuous jump function, whose truncated expansion
+    cannot be trusted pointwise.
     """
     if policy is None:
         policy = PlateauPolicy()
@@ -299,15 +294,15 @@ def detect_plateau(M: Sequence[float], policy: PlateauPolicy | None = None) -> P
     if policy.mode == "known_energy":
         below = np.nonzero(M <= policy.known_K)[0]
         if below.size == 0:
-            return PlateauResult(_band(M, 0, policy), 0, False, False, None, float(M[0]), 0.0)
+            return PlateauResult(_band(M, 0), 0, False, False, None, float(M[0]), 0.0)
         m_t = int(below[-1])
-        return PlateauResult(_band(M, m_t, policy), m_t, True, False, None, float(M[m_t]), 0.0)
+        return PlateauResult(_band(M, m_t), m_t, True, False, None, float(M[m_t]), 0.0)
 
-    growth = np.diff(M) / np.maximum(M[:-1], policy.delta)
+    growth = np.diff(M) / np.maximum(M[:-1], GROWTH_FLOOR)
     # Indices at or beyond the first divergence jump are off limits: once a
     # single step multiplies the energy, any later "flat" stretch is a shelf
     # on top of the blow-up, not a plateau of the converged energy.
-    diverged = np.nonzero(growth >= policy.divergence_growth)[0]
+    diverged = np.nonzero(growth >= DIVERGENCE_GROWTH)[0]
     guard = int(diverged[0]) if diverged.size and diverged[0] > 0 else growth.size
     qualifying = [
         r
@@ -321,8 +316,8 @@ def detect_plateau(M: Sequence[float], policy: PlateauPolicy | None = None) -> P
         m_t = max(a0, min(b0 - (policy.w_min + 1) // 2, M.size - 1))
         fit_hi = min(m_t, max(a0 + 2 * policy.w_min, (a0 + m_t) // 2))
         p_hat = _energy_decay_exponent(c_sq, a0, fit_hi)
-        confident = p_hat >= policy.min_decay_exponent
-        return PlateauResult(_band(M, m_t, policy), m_t, confident, True, (a0, b0), float(M[m_t]), p_hat)
+        confident = p_hat >= MIN_DECAY_EXPONENT
+        return PlateauResult(_band(M, m_t), m_t, confident, True, (a0, b0), float(M[m_t]), p_hat)
 
     # No qualifying run: fall back to the flattest smoothed window before
     # the divergence guard.
@@ -332,7 +327,7 @@ def detect_plateau(M: Sequence[float], policy: PlateauPolicy | None = None) -> P
     seg = smoothed[:hi]
     m_t = int(seg.size - 1 - np.argmin(seg[::-1]))  # ties -> later
     p_hat = _energy_decay_exponent(c_sq, max(0, m_t - 2 * policy.w_min), m_t)
-    return PlateauResult(_band(M, m_t, policy), m_t, False, False, None, float(M[m_t]), p_hat)
+    return PlateauResult(_band(M, m_t), m_t, False, False, None, float(M[m_t]), p_hat)
 
 
 # --------------------------------------------------------------------------
@@ -420,17 +415,16 @@ def _trapezoid_l2(
     j_rec: np.ndarray,
     truth: Callable,
     domain: tuple[float, float],
-    where: str,
     weight: Callable | None = None,
 ) -> ErrorReport:
     """Composite-trapezoid L^2 error, optionally weighted, over the samples in
-    ``domain``; ``where`` names the domain in the too-sparse message."""
+    ``domain``."""
     xs = np.asarray(xs, dtype=float)
     j_rec = np.asarray(j_rec, dtype=float)
     lo, hi = domain
     mask = (xs >= lo) & (xs <= hi)
     if mask.sum() < 8:
-        raise InputError(f"sample grid too sparse on {where}")
+        raise InputError(f"sample grid too sparse on [{lo:g}, {hi:g}]")
     x = xs[mask]
     w = 1.0 if weight is None else weight(x)
     jt = np.asarray(truth(x), dtype=float)
@@ -441,20 +435,15 @@ def _trapezoid_l2(
     return ErrorReport(l2_abs=l2_abs, l2_rel=l2_rel, domain=(lo, hi))
 
 
-def l2_error(
-    xs: np.ndarray,
-    j_rec: np.ndarray,
-    truth: Callable,
-    domain: tuple[float, float] = (1.0, 50.0),
-) -> ErrorReport:
+def l2_error(xs: np.ndarray, j_rec: np.ndarray, truth: Callable) -> ErrorReport:
     """Composite-trapezoid L^2 error of sampled values against the truth.
 
     The rule integrates |J_rec - J_true|^2 over the sample abscissae inside
-    ``domain``; the grid must already resolve both curves there.  The
+    ``ERROR_DOMAIN``; the grid must already resolve both curves there.  The
     relative form divides by the truth's norm on the same domain; a
     zero-norm truth reports the absolute error only.
     """
-    return _trapezoid_l2(xs, j_rec, truth, domain, "the error domain")
+    return _trapezoid_l2(xs, j_rec, truth, ERROR_DOMAIN)
 
 
 _CHECK_TOL = dict(abs_tol=1e-9, rel_tol=1e-9, max_intervals=4000)
@@ -500,17 +489,16 @@ class DensityReport:
     min_value: float
 
 
-def density_check(j: Callable, xs: np.ndarray | None = None) -> DensityReport:
-    """Probability-density diagnostics of j: int_1^inf j(x)/x dx and min j.
+def density_check(j: Callable) -> DensityReport:
+    """Probability-density diagnostics of j: int_1^inf j(x)/x dx and min j
+    over the default grid's points x >= 1.
 
     For a normalized problem the integral should be 1 and the minimum not
     appreciably negative (up to reconstruction ripple).
     """
     res = integrate_adaptive(lambda x: j(x) / x, 1.0, math.inf, **_CHECK_TOL)
-    if xs is None:
-        grid = default_grid()
-        xs = grid[grid >= 1.0]
-    vals = j(np.asarray(xs, dtype=float))
+    grid = default_grid()
+    vals = j(grid[grid >= 1.0])
     return DensityReport(integral_of_j_over_x=res.value, min_value=float(np.min(vals)))
 
 
@@ -565,8 +553,7 @@ def _run_pipeline(
     values: np.ndarray,
     n_max: int,
     policy: PlateauPolicy | None,
-    grid,
-    default: Callable[[], np.ndarray],
+    xs: np.ndarray,
     resum: Callable,
     truth: Callable | None,
     error: Callable,
@@ -574,14 +561,12 @@ def _run_pipeline(
     """The pipeline both variants share, returning the report fields under
     the power-series names.
 
-    Synthesis, energies, plateau and confidence, then resummation on
-    ``grid`` (``default()`` when None) and, given a truth, its samples and
-    ``error(grid, j_rec, truth)``.
+    Synthesis, energies, plateau and confidence, then resummation on ``xs``
+    and, given a truth, its samples and ``error(xs, j_rec, truth)``.
     """
     synth = synthesize_raw(values, n_max)
     M = partial_energies(synth.c)
     det = detect_plateau(M, policy)
-    xs = default() if grid is None else np.asarray(grid, dtype=float)
     j_rec = resum(synth.c, det.m_t, xs)
     j_true = None
     errors = None
@@ -606,11 +591,8 @@ def build_report(
     g: CoefficientSet,
     n_max: int = DEFAULT_N_MAX,
     policy: PlateauPolicy | None = None,
-    grid: np.ndarray | None = None,
     truth: JumpGroundTruth | None = None,
-    error_domain: tuple[float, float] = (1.0, 50.0),
 ) -> ReconstructionReport:
-    """Run the full pipeline on a coefficient set."""
-    error = functools.partial(l2_error, domain=error_domain)
-    fields = _run_pipeline(g.values, n_max, policy, grid, default_grid, reconstruct_jump, truth, error)
+    """Run the full pipeline on a coefficient set, on ``default_grid()``."""
+    fields = _run_pipeline(g.values, n_max, policy, default_grid(), reconstruct_jump, truth, l2_error)
     return ReconstructionReport(source=g.source, **fields)

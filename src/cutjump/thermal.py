@@ -16,14 +16,13 @@ exposed only as a reflection wrapper.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .corpus import CoefficientSet, JumpGroundTruth, ProblemSpec, coefficients
-from .errors import DomainError, InputError
+from .errors import InputError
 from .reconstruct import (
     DEFAULT_N_MAX,
     ErrorReport,
@@ -54,7 +53,8 @@ __all__ = [
     "weighted_l2_error",
 ]
 
-DEFAULT_V_MAX = 15.0  # e^{-v} |J|^2 below 1e-12 beyond this for all corpus truths
+V_MAX = 15.0  # e^{-v} |J|^2 below 1e-12 beyond this for all corpus truths
+V_POINTS = 1200
 
 
 @dataclass(frozen=True)
@@ -103,8 +103,9 @@ def basis_psi_big(n: int, v) -> float | np.ndarray:
     return _single_basis(psi_matrix, n, v)
 
 
-def default_v_grid(v_max: float = DEFAULT_V_MAX, n_points: int = 1200) -> np.ndarray:
-    return np.linspace(0.0, v_max, n_points)
+def default_v_grid() -> np.ndarray:
+    """The thermal sample grid: ``V_POINTS`` equispaced points on [0, V_MAX]."""
+    return np.linspace(0.0, V_MAX, V_POINTS)
 
 
 def reconstruct_thermal(frak_c: np.ndarray, m_t: int, vs) -> np.ndarray:
@@ -119,14 +120,9 @@ def reconstruct_thermal(frak_c: np.ndarray, m_t: int, vs) -> np.ndarray:
     return head @ (math.sqrt(2.0) * laguerre_scaled_seq(m_t, t))
 
 
-def weighted_l2_error(
-    vs: np.ndarray,
-    j_rec: np.ndarray,
-    truth,
-    v_max: float = DEFAULT_V_MAX,
-) -> ErrorReport:
-    """L^2 error with weight e^{-v} over [0, v_max] by composite trapezoid."""
-    return _trapezoid_l2(vs, j_rec, truth, (0.0, v_max), "[0, v_max]", weight=lambda v: np.exp(-v))
+def weighted_l2_error(vs: np.ndarray, j_rec: np.ndarray, truth) -> ErrorReport:
+    """L^2 error with weight e^{-v} over [0, V_MAX] by composite trapezoid."""
+    return _trapezoid_l2(vs, j_rec, truth, (0.0, V_MAX), weight=lambda v: np.exp(-v))
 
 
 def synthesize_line_coefficients(problem: ThermalProblem, n_max: int = DEFAULT_N_MAX) -> SynthesisResult:
@@ -189,30 +185,16 @@ class ThermalReport:
         return _report_dict(self, "frak_c", "vs", "weighted_errors")
 
 
-def _resum_on_v(frak_c: np.ndarray, m_t: int, vs: np.ndarray) -> np.ndarray:
-    if np.any(vs < 0.0):
-        raise DomainError("thermal reconstruction grids live on v >= 0")
-    return reconstruct_thermal(frak_c, m_t, vs)
-
-
 def build_thermal_report(
     problem: ThermalProblem,
     n_max: int = DEFAULT_N_MAX,
     policy: PlateauPolicy | None = None,
-    grid: np.ndarray | None = None,
-    v_max: float = DEFAULT_V_MAX,
 ) -> ThermalReport:
     """Run the full thermal pipeline on a problem: the power-series pipeline
-    on h_k = g_{k+1}, resummed and scored in v = ln x."""
+    on h_k = g_{k+1}, resummed on ``default_v_grid()`` and scored in v = ln x."""
+    values = problem.coefficients.values
     fields = _run_pipeline(
-        problem.coefficients.values,
-        n_max,
-        policy,
-        grid,
-        lambda: default_v_grid(v_max),
-        _resum_on_v,
-        problem.truth,
-        functools.partial(weighted_l2_error, v_max=v_max),
+        values, n_max, policy, default_v_grid(), reconstruct_thermal, problem.truth, weighted_l2_error
     )
     return ThermalReport(
         frak_c=fields.pop("c"),

@@ -25,12 +25,72 @@ def run_cli(args):
         (["moments", "--problem", "harmonic", "--p-exponent", "1.0"], "p-exponent"),
         (["sweep", "--problem", "harmonic", "--epsilons", "x"], "epsilons"),
         (["sweep", "--problem", "harmonic", "--repeats", "0"], "repeats"),
+        (["reconstruct", "--problem", "harmonic", "--epsilon", "inf"], "epsilon: must be finite"),
+        (["reconstruct", "--problem", "harmonic", "--epsilon", "nan"], "epsilon: must be finite"),
+        (["moments", "--problem", "harmonic", "--p-exponent", "nan"], "p-exponent: must be finite"),
+        (["sweep", "--problem", "harmonic", "--epsilons", "nan"], "epsilons: must be finite"),
+        (["sweep", "--problem", "harmonic", "--epsilons", "1e-4,inf"], "epsilons: must be finite"),
+        (
+            ["reconstruct", "--problem", "harmonic", "--plateau-theta", "0.6"],
+            "plateau-theta: must be > 0 and < 0.5",
+        ),
+        (["reconstruct", "--problem", "harmonic", "--plateau-theta", "nan"], "plateau-theta"),
+        (["reconstruct", "--problem", "harmonic", "--epsilon", "1e-6", "--seed", "-5"], "seed: must be in"),
+        (["reconstruct", "--problem", "harmonic", "--seed", str(2**64)], "seed: must be in"),
+        (["sweep", "--problem", "harmonic", "--seed-base", "-3"], "seed-base: must be >= 0"),
+        (["sweep", "--problem", "harmonic", "--n-list", "9,10", "--seed-base", str(2**64 - 1)], "seed-base"),
+        (["sweep", "--problem", "thermal_boson_demo"], "problem: thermal_boson_demo is a thermal problem"),
     ],
 )
 def test_invalid_config_exits_one_naming_field(capsys, args, needle):
     code = run_cli(args + ["--out", "/tmp/cutjump-test-unused"])
     assert code == cli.EXIT_ERROR
-    assert needle in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert needle in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "text,needle",
+    [
+        ('{"problem": "harmonic", "epsilon": 1e400}', "epsilon: must be finite"),
+        ('{"problem": "harmonic", "plateau_theta": NaN}', "plateau-theta"),
+        ('{"problem": "harmonic", "epsilon": 1' + "0" * 400 + "}", "epsilon: must be finite"),
+        ('{"problem": "harmonic", "seed": -1}', "seed: must be in"),
+        ('{"problem": "harmonic", "n_coeffs": 1' + "0" * 5000 + "}", "config: cannot read"),
+    ],
+    ids=["epsilon-1e400", "plateau_theta-NaN", "epsilon-integer-1e400", "seed-negative", "n_coeffs-long"],
+)
+def test_config_value_out_of_range_exits_one_naming_field(tmp_path, capsys, text, needle):
+    config = tmp_path / "cfg.json"
+    config.write_text(text)
+    code = run_cli(["reconstruct", "--config", str(config), "--out", str(tmp_path)])
+    assert code == cli.EXIT_ERROR
+    err = capsys.readouterr().err
+    assert needle in err
+    assert "Traceback" not in err
+    assert not list(tmp_path.glob("*_report.json"))
+
+
+@pytest.mark.parametrize(
+    "args,flag",
+    [(["--bogus"], "--bogus"), (["--n-coeffs", "abc"], "--n-coeffs"), (["--emit", "xml"], "--emit")],
+)
+def test_usage_error_exits_one_naming_flag(capsys, args, flag):
+    # Exit code 2 means failed positivity, so argparse's own 2 is not used.
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["reconstruct", "--problem", "harmonic", *args])
+    assert exc.value.code == cli.EXIT_ERROR
+    err = capsys.readouterr().err
+    assert flag in err
+    assert "Traceback" not in err
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["reconstruct", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: cutjump reconstruct")
 
 
 def test_missing_input_file_exits_one(tmp_path, capsys):

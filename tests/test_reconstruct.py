@@ -267,6 +267,8 @@ def test_detect_plateau_validates_input():
     with pytest.raises(ConfigError):
         PlateauPolicy(theta=-1.0)
     with pytest.raises(ConfigError):
+        PlateauPolicy(theta=0.5)  # a flat step would also count as divergence
+    with pytest.raises(ConfigError):
         PlateauPolicy(w_min=1)
     with pytest.raises(ConfigError):
         PlateauPolicy(mode="known_energy")  # missing K

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cutjump import corpus, reconstruct, thermal
-from cutjump.errors import DomainError, InputError
+from cutjump.errors import InputError
 from cutjump.specfun import integrate_adaptive
 from cutjump.thermal import (
     ThermalProblem,
@@ -214,9 +214,3 @@ def test_negative_branch_is_reflection():
     # values travel with their abscissae
     for v, val in zip(mv, mj):
         assert val == pytest.approx(math.sin(-v), rel=1e-12, abs=1e-12)
-
-
-def test_thermal_report_grid_domain():
-    prob = _demo(10)
-    with pytest.raises(DomainError):
-        thermal.build_thermal_report(prob, n_max=20, grid=np.array([-1.0, 0.0, 1.0]))
