@@ -54,24 +54,45 @@ def _check_finite(name: str, value: float) -> None:
         raise ConfigError(f"{name}: must be finite, got {value!r}")
 
 
+# The subcommands that take a field's flag (and its JSON config key).
+_SINGLE = ("moments", "reconstruct", "thermal")
+_PLATEAU = ("reconstruct", "thermal", "sweep")
+_ALL = (*_SINGLE, "sweep")
+
+
+def _flag(default, flag: str, help_text: str, commands: tuple, *, choices=None, echo=False):
+    """A RunConfig field and its row of the CLI table: the flag, its help
+    text and choices, whether reports echo it (key = flag name with - as _),
+    and the subcommands that take it as a flag and as a JSON config key."""
+    meta = {"flag": flag, "help": help_text, "choices": choices, "echo": echo, "commands": commands}
+    return field(default=default, metadata=meta)
+
+
 @dataclass
 class RunConfig:
     """One pipeline run.  Exactly one of ``problem``/``input_path`` is set."""
 
-    problem: str | None = None
-    input_path: str | None = None
-    n_coeffs: int = 60
-    epsilon: float = 0.0
-    seed: int = 0
-    n_max: int = reconstruct.DEFAULT_N_MAX
-    plateau_theta: float = 1e-3
-    plateau_window: int = 5
-    output_dir: str = "cutjump_out"
-    emit: str = "both"
-    # moments-only knobs
-    p_exponent: float | None = None
-    f_mode: str = "none"
-    expect_positive: bool = False
+    problem: str | None = _flag(
+        None, "--problem", f"built-in problem id ({', '.join(corpus.BUILTIN_IDS)})", _ALL, echo=True
+    )
+    input_path: str | None = _flag(None, "--input", "coefficient CSV file", _SINGLE, echo=True)
+    n_coeffs: int = _flag(60, "--n-coeffs", "highest coefficient index N", _SINGLE, echo=True)
+    epsilon: float = _flag(0.0, "--epsilon", "uniform noise bound", _SINGLE, echo=True)
+    seed: int = _flag(0, "--seed", "noise seed (64-bit)", _SINGLE, echo=True)
+    n_max: int = _flag(reconstruct.DEFAULT_N_MAX, "--n-max", "synthesis depth", _ALL, echo=True)
+    plateau_theta: float = _flag(1e-3, "--plateau-theta", "flatness threshold", _PLATEAU, echo=True)
+    plateau_window: int = _flag(5, "--plateau-window", "minimum run length", _PLATEAU, echo=True)
+    output_dir: str = _flag("cutjump_out", "--out", "output directory", _ALL)
+    # moments takes --emit but always writes its JSON report
+    emit: str = _flag("both", "--emit", "which files to write", _SINGLE, choices=("json", "csv", "both"))
+    p_exponent: float | None = _flag(None, "--p-exponent", "L^p exponent (> 1)", ("moments",))
+    f_mode: str = _flag(
+        "none", "--f-mode", "check the derived sequence (k+1) g_k or k g_k instead of g itself",
+        ("moments",), choices=("none", "k_plus_1", "k"),
+    )  # fmt: skip
+    expect_positive: bool = _flag(
+        False, "--expect-positive", "exit 2 when weight positivity fails", ("moments",)
+    )
 
     def validate(self) -> None:
         if (self.problem is None) == (self.input_path is None):
@@ -93,14 +114,14 @@ class RunConfig:
             raise ConfigError(f"plateau-theta: must be > 0 and < {reconstruct.DIVERGENCE_GROWTH}")
         if self.plateau_window < 2:
             raise ConfigError("plateau-window: must be >= 2")
-        if self.emit not in ("json", "csv", "both"):
-            raise ConfigError("emit: must be one of json, csv, both")
         if self.p_exponent is not None:
             _check_finite("p-exponent", self.p_exponent)
             if self.p_exponent <= 1.0:
                 raise ConfigError("p-exponent: must exceed 1")
-        if self.f_mode not in ("none", "k_plus_1", "k"):
-            raise ConfigError("f-mode: must be one of none, k_plus_1, k")
+        for f in dataclasses.fields(self):
+            choices = f.metadata["choices"]
+            if choices and getattr(self, f.name) not in choices:
+                raise ConfigError(f"{f.metadata['flag'][2:]}: must be one of {', '.join(choices)}")
 
     def policy(self) -> reconstruct.PlateauPolicy:
         return reconstruct.PlateauPolicy(theta=self.plateau_theta, w_min=self.plateau_window)
@@ -112,15 +133,15 @@ class RunConfig:
 
     def echo(self) -> dict:
         return {
-            "problem": self.problem,
-            "input": self.input_path,
-            "n_coeffs": self.n_coeffs,
-            "epsilon": self.epsilon,
-            "seed": self.seed,
-            "n_max": self.n_max,
-            "plateau_theta": self.plateau_theta,
-            "plateau_window": self.plateau_window,
+            f.metadata["flag"][2:].replace("-", "_"): getattr(self, f.name)
+            for f in dataclasses.fields(self)
+            if f.metadata["echo"]
         }
+
+
+def _fields(command: str) -> list[dataclasses.Field]:
+    """The RunConfig fields that ``command`` takes, in field order."""
+    return [f for f in dataclasses.fields(RunConfig) if command in f.metadata["commands"]]
 
 
 @dataclass
@@ -137,8 +158,6 @@ class SweepConfig:
 
     def validate(self) -> None:
         self.base.validate()
-        if self.base.problem is None:
-            raise ConfigError("problem: sweeps need a built-in problem")
         if corpus.builtin(self.base.problem).start_index != 0:
             raise ConfigError(
                 f"problem: {self.base.problem} is a thermal problem; sweeps run power series only"
@@ -372,20 +391,6 @@ def cmd_sweep(sweep: SweepConfig) -> int:
 # --------------------------------------------------------------------------
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="JSON file with configuration (flags override it)")
-    p.add_argument("--problem", help=f"built-in problem id ({', '.join(corpus.BUILTIN_IDS)})")
-    p.add_argument("--input", dest="input_path", help="coefficient CSV file")
-    p.add_argument("--n-coeffs", dest="n_coeffs", type=int, help="highest coefficient index N")
-    p.add_argument("--epsilon", type=float, help="uniform noise bound")
-    p.add_argument("--seed", type=int, help="noise seed (64-bit)")
-    p.add_argument("--n-max", dest="n_max", type=int, help="synthesis depth")
-    p.add_argument("--plateau-theta", dest="plateau_theta", type=float, help="flatness threshold")
-    p.add_argument("--plateau-window", dest="plateau_window", type=int, help="minimum run length")
-    p.add_argument("--out", dest="output_dir", help="output directory")
-    p.add_argument("--emit", choices=("json", "csv", "both"), help="which files to write")
-
-
 _TYPE_NAMES = {bool: "true or false", int: "an integer", float: "a number", str: "a string"}
 
 
@@ -403,7 +408,8 @@ def _check_config_type(name: str, value, hint) -> None:
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     config = RunConfig()
     hints = typing.get_type_hints(RunConfig)
-    if getattr(args, "config", None):
+    names = [f.name for f in _fields(args.command)]
+    if args.config:
         try:
             raw = json.loads(Path(args.config).read_text(encoding="utf-8"))
         except (OSError, ValueError) as exc:  # ValueError: bad JSON or a too-long integer
@@ -411,12 +417,12 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         if not isinstance(raw, dict):
             raise ConfigError("config: top level must be a JSON object")
         for key, value in raw.items():
-            if key not in hints:
-                raise ConfigError(f"config: unknown field {key!r}")
+            if key not in names:
+                raise ConfigError(f"config: unknown field {key!r} for {args.command}")
             _check_config_type(key, value, hints[key])
             setattr(config, key, value)
-    for name in hints:
-        value = getattr(args, name, None)
+    for name in names:
+        value = getattr(args, name)
         if value is not None:
             setattr(config, name, value)
     return config
@@ -424,11 +430,24 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 
 class _Parser(argparse.ArgumentParser):
     """Usage errors exit with EXIT_ERROR (exit code 2 means failed
-    positivity); subparsers inherit the class."""
+    positivity), and no flag may be abbreviated: with prefix matching,
+    ``sweep --seed 5`` would silently mean ``--seed-base 5``.  Subparsers
+    inherit the class."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
 
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
+
+
+_SUBCOMMANDS = {
+    "moments": "moment-sequence diagnostics",
+    "reconstruct": "power-series jump reconstruction",
+    "thermal": "thermal (boson) reconstruction",
+    "sweep": "noise/size sweeps, aggregated CSV",
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -438,81 +457,62 @@ def build_parser() -> argparse.ArgumentParser:
         "from finitely many noisy coefficients.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    hints = typing.get_type_hints(RunConfig)
+    for command, summary in _SUBCOMMANDS.items():
+        p = sub.add_parser(command, help=summary)
+        p.add_argument("--config", help="JSON file with configuration (flags override it)")
+        for f in _fields(command):
+            flag, help_text = f.metadata["flag"], f.metadata["help"]
+            if hints[f.name] is bool:
+                # default None leaves a config file's value alone
+                p.add_argument(flag, dest=f.name, action="store_true", default=None, help=help_text)
+            else:
+                kind = (typing.get_args(hints[f.name]) or (hints[f.name],))[0]
+                p.add_argument(flag, dest=f.name, type=kind, choices=f.metadata["choices"], help=help_text)
 
-    p_mom = sub.add_parser("moments", help="moment-sequence diagnostics")
-    _add_common(p_mom)
-    p_mom.add_argument("--p-exponent", dest="p_exponent", type=float, help="L^p exponent (> 1)")
-    p_mom.add_argument(
-        "--f-mode",
-        dest="f_mode",
-        choices=("none", "k_plus_1", "k"),
-        help="check the derived sequence (k+1) g_k or k g_k instead of g itself",
-    )
-    p_mom.add_argument(
-        "--expect-positive",
-        dest="expect_positive",
-        action="store_true",
-        default=None,  # unset, so a config file's value stands
-        help="exit 2 when weight positivity fails",
-    )
-
-    p_rec = sub.add_parser("reconstruct", help="power-series jump reconstruction")
-    _add_common(p_rec)
-
-    p_th = sub.add_parser("thermal", help="thermal (boson) reconstruction")
-    _add_common(p_th)
-
-    p_sw = sub.add_parser("sweep", help="noise/size sweeps, aggregated CSV")
-    _add_common(p_sw)
+    p_sw = sub.choices["sweep"]
     p_sw.add_argument("--epsilons", help="comma-separated noise bounds")
     p_sw.add_argument("--n-list", dest="n_list", help="comma-separated coefficient counts")
     p_sw.add_argument("--repeats", type=int, help="repeats per cell")
     p_sw.add_argument("--seed-base", dest="seed_base", type=int, help="base for cell seeds")
-
     return parser
 
 
-def _parse_float_list(text: str, name: str) -> list[float]:
+def _parse_list(text: str, name: str, kind: type) -> list:
     try:
-        return [float(tok) for tok in text.split(",") if tok.strip()]
+        return [kind(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
-        raise ConfigError(f"{name}: expected comma-separated numbers, got {text!r}") from None
+        noun = "integers" if kind is int else "numbers"
+        raise ConfigError(f"{name}: expected comma-separated {noun}, got {text!r}") from None
 
 
-def _parse_int_list(text: str, name: str) -> list[int]:
-    try:
-        return [int(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError:
-        raise ConfigError(f"{name}: expected comma-separated integers, got {text!r}") from None
+def _sweep_from_args(args: argparse.Namespace) -> SweepConfig:
+    base = _config_from_args(args)
+    if base.problem is None:
+        base.problem = "normalized_rational"
+    sweep = SweepConfig(base=base)
+    if args.epsilons:
+        sweep.epsilons = _parse_list(args.epsilons, "epsilons", float)
+    if args.n_list:
+        sweep.ns = _parse_list(args.n_list, "n-list", int)
+    if args.repeats is not None:
+        sweep.repeats = args.repeats
+    if args.seed_base is not None:
+        sweep.seed_base = args.seed_base
+    return sweep
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
+        if args.command == "sweep":
+            return cmd_sweep(_sweep_from_args(args))
         if args.command == "moments":
             return cmd_moments(_config_from_args(args))
-        if args.command in ("reconstruct", "thermal"):
-            return cmd_run(args.command, _config_from_args(args))
-        if args.command == "sweep":
-            base = _config_from_args(args)
-            if base.problem is None and base.input_path is None:
-                base.problem = "normalized_rational"
-            sweep = SweepConfig(base=base)
-            if getattr(args, "epsilons", None):
-                sweep.epsilons = _parse_float_list(args.epsilons, "epsilons")
-            if getattr(args, "n_list", None):
-                sweep.ns = _parse_int_list(args.n_list, "n-list")
-            if getattr(args, "repeats", None) is not None:
-                sweep.repeats = args.repeats
-            if getattr(args, "seed_base", None) is not None:
-                sweep.seed_base = args.seed_base
-            return cmd_sweep(sweep)
-        parser.error(f"unknown command {args.command!r}")
+        return cmd_run(args.command, _config_from_args(args))
     except (CutjumpError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    return EXIT_ERROR
 
 
 if __name__ == "__main__":
