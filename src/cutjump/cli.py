@@ -1,10 +1,13 @@
 """Command-line front end.
 
 Subcommands: ``moments``, ``reconstruct``, ``thermal``, ``sweep``;
-``reconstruct`` and ``thermal`` share one handler.  Every numeric option is
-validated before any numerics run, and every JSON config value is checked
-against its field's type; an invalid value exits with code 1 and a message
-naming the offending field.  Identical
+``reconstruct`` and ``thermal`` share one handler.  ``RunConfig``'s field
+table gives each field's flag, help, choices, report echo and the
+subcommands that take it; the parser, JSON config keys and echo all read
+it, so a subcommand takes only the flags it uses, and none abbreviated.
+Every numeric option is validated before any numerics run, and every JSON
+config value is checked against its field's type; an invalid value exits
+with code 1 and a message naming the offending field.  Identical
 configurations (seeds included) produce byte-identical JSON and CSV output.
 
 Exit codes: 0 clean run; 1 usage/parse/IO/config error, or input whose
@@ -36,6 +39,13 @@ SCHEMA_VERSION = 2
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_POSITIVITY = 2
+
+# Ceilings on the coefficient count N (--n-coeffs, each --n-list entry, the
+# N of an --input file) and on the depth n_max.  Synthesis costs grow with
+# N * n_max and the exact moments table faster than n_max^2; at both ceilings
+# the slowest run of each subcommand took 5-8 s on a 2-vCPU VM.
+MAX_N_COEFFS = 1000
+MAX_N_MAX = 800
 
 
 # --------------------------------------------------------------------------
@@ -101,15 +111,15 @@ class RunConfig:
             raise ConfigError(
                 f"problem: unknown id {self.problem!r} (known: {', '.join(corpus.BUILTIN_IDS)})"
             )
-        if self.n_coeffs < 0:
-            raise ConfigError("n-coeffs: must be >= 0")
+        if not 0 <= self.n_coeffs <= MAX_N_COEFFS:
+            raise ConfigError(f"n-coeffs: must be in 0..{MAX_N_COEFFS}")
         _check_finite("epsilon", self.epsilon)
         if self.epsilon < 0.0:
             raise ConfigError("epsilon: must be >= 0")
         if not 0 <= self.seed < 2**64:
             raise ConfigError("seed: must be in 0..2^64-1")
-        if self.n_max < 0:
-            raise ConfigError("n-max: must be >= 0")
+        if not 0 <= self.n_max <= MAX_N_MAX:
+            raise ConfigError(f"n-max: must be in 0..{MAX_N_MAX}")
         if not 0.0 < self.plateau_theta < reconstruct.DIVERGENCE_GROWTH:
             raise ConfigError(f"plateau-theta: must be > 0 and < {reconstruct.DIVERGENCE_GROWTH}")
         if self.plateau_window < 2:
@@ -170,8 +180,8 @@ class SweepConfig:
                 raise ConfigError("epsilons: must be >= 0")
         if not self.ns:
             raise ConfigError("n-list: at least one value required")
-        if any(n < 1 for n in self.ns):
-            raise ConfigError("n-list: entries must be >= 1")
+        if any(not 1 <= n <= MAX_N_COEFFS for n in self.ns):
+            raise ConfigError(f"n-list: entries must be in 1..{MAX_N_COEFFS}")
         if self.repeats < 1:
             raise ConfigError("repeats: must be >= 1")
         n_cells = len(self.ns) * len(self.epsilons)
@@ -232,6 +242,16 @@ def _report_payload(kind: str, config: RunConfig, report_dict: dict) -> dict:
 # --------------------------------------------------------------------------
 
 
+def _load(config: RunConfig, is_thermal: bool = False) -> corpus.CoefficientSet:
+    """The ``--input`` file's coefficients; ConfigError if its N is above
+    MAX_N_COEFFS."""
+    load = corpus.load_thermal_coefficients if is_thermal else corpus.load_coefficients
+    cs = load(config.input_path)
+    if cs.N > MAX_N_COEFFS:
+        raise ConfigError(f"input: N = {cs.N} is above the ceiling {MAX_N_COEFFS}")
+    return cs
+
+
 def cmd_moments(config: RunConfig) -> int:
     config.validate()
     out_dir = Path(config.output_dir)
@@ -248,7 +268,7 @@ def cmd_moments(config: RunConfig) -> int:
             g = corpus.coefficients(spec, config.n_coeffs, config.epsilon, config.seed)
             report = moments.check_f_sequence(g, config.f_mode, n_max=config.n_max, p=p)
     else:
-        cs = corpus.load_coefficients(config.input_path)
+        cs = _load(config)
         if config.f_mode == "none":
             seq = moments.MomentSequence.from_values(cs.values)
             n_rows = min(config.n_max, cs.N)
@@ -277,8 +297,7 @@ def _coefficients(
     """The coefficient set of a run, noise included, and its truth (None for
     file input); InputError if the problem belongs to the other variant."""
     if config.problem is None:
-        load = corpus.load_thermal_coefficients if is_thermal else corpus.load_coefficients
-        cs = load(config.input_path)
+        cs = _load(config, is_thermal)
         if config.epsilon > 0.0:
             cs = corpus.add_noise(cs, config.epsilon, config.seed)
         return cs, None

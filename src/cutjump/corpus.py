@@ -267,12 +267,15 @@ def coefficients(
 def add_noise(clean: CoefficientSet, epsilon: float, seed: int) -> CoefficientSet:
     """Perturb each coefficient by an independent uniform draw on [-eps, eps].
 
-    The generator is PCG64 with the given 64-bit seed and one vectorized
+    The result's ``epsilon`` is ``clean.epsilon + epsilon``, the worst-case
+    bound on the total noise of a set that was already noisy.  The generator is PCG64 with the given 64-bit seed and one vectorized
     draw in ascending k, so identical seeds give bit-identical output on
     every platform.
     """
     if epsilon < 0.0:
         raise InputError("epsilon must be >= 0")
+    if not math.isfinite(2.0 * epsilon):  # the width of the draw's range
+        raise InputError(f"epsilon must be at most half the largest double, got {epsilon!r}")
     if epsilon == 0.0:
         return clean
     rng = np.random.Generator(np.random.PCG64(seed))
@@ -280,7 +283,7 @@ def add_noise(clean: CoefficientSet, epsilon: float, seed: int) -> CoefficientSe
     return CoefficientSet(
         values=clean.values + noise,
         N=clean.N,
-        epsilon=epsilon,
+        epsilon=clean.epsilon + epsilon,
         seed=seed,
         source=clean.source,
         start_index=clean.start_index,
@@ -306,6 +309,8 @@ def _parse_coefficient_lines(text: str) -> tuple[list[tuple[int, float]], float]
                 eps = float(meta.split("=", 1)[1])
             except ValueError:
                 raise ParseError(f"bad epsilon value in {meta!r}", 1) from None
+            if not math.isfinite(eps):
+                raise ParseError(f"epsilon must be finite, got {meta!r}", 1)
             if eps < 0.0:
                 raise ParseError("epsilon must be >= 0", 1)
         else:

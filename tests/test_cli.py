@@ -1,3 +1,4 @@
+import argparse
 import json
 
 import pytest
@@ -40,6 +41,11 @@ def run_cli(args):
         (["sweep", "--problem", "harmonic", "--seed-base", "-3"], "seed-base: must be >= 0"),
         (["sweep", "--problem", "harmonic", "--n-list", "9,10", "--seed-base", str(2**64 - 1)], "seed-base"),
         (["sweep", "--problem", "thermal_boson_demo"], "problem: thermal_boson_demo is a thermal problem"),
+        (["reconstruct", "--problem", "harmonic", "--n-coeffs", "100000"], "n-coeffs: must be in 0..1000"),
+        (["thermal", "--problem", "thermal_boson_demo", "--n-max", "100000000"], "n-max: must be in 0..800"),
+        (["moments", "--problem", "harmonic", "--n-max", "801"], "n-max: must be in 0..800"),
+        (["sweep", "--problem", "harmonic", "--n-list", "10,1001"], "n-list: entries must be in 1..1000"),
+        (["reconstruct", "--problem", "harmonic", "--epsilon", "1e308"], "epsilon must be at most half"),
     ],
 )
 def test_invalid_config_exits_one_naming_field(capsys, args, needle):
@@ -83,6 +89,87 @@ def test_usage_error_exits_one_naming_flag(capsys, args, flag):
     assert exc.value.code == cli.EXIT_ERROR
     err = capsys.readouterr().err
     assert flag in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "args,flag",
+    [
+        (["sweep", "--seed", "5"], "--seed"),
+        (["sweep", "--emit", "csv"], "--emit"),
+        (["sweep", "--n-coeffs", "9"], "--n-coeffs"),
+        (["sweep", "--epsilon", "1e-3"], "--epsilon"),
+        (["sweep", "--input", "f.csv"], "--input"),
+        (["moments", "--plateau-theta", "0.3"], "--plateau-theta"),
+        (["reconstruct", "--eps", "1e-3"], "--eps"),  # no abbreviations
+        (["sweep", "--seed-b", "5"], "--seed-b"),
+    ],
+)
+def test_flag_outside_subcommand_exits_one_naming_it(capsys, args, flag):
+    with pytest.raises(SystemExit) as exc:
+        run_cli([*args, "--problem", "harmonic", "--out", "/tmp/cutjump-test-unused"])
+    assert exc.value.code == cli.EXIT_ERROR
+    err = capsys.readouterr().err
+    assert f"unrecognized arguments: {flag}" in err
+    assert "Traceback" not in err
+
+
+COMMON = ["--config", "--problem", "--n-max", "--out"]
+SINGLE = ["--input", "--n-coeffs", "--epsilon", "--seed", "--emit"]
+PLATEAU = ["--plateau-theta", "--plateau-window"]
+SWEEP_OWN = ["--epsilons", "--n-list", "--repeats", "--seed-base"]
+FLAG_SETS = {
+    "reconstruct": {*COMMON, *SINGLE, *PLATEAU},
+    "thermal": {*COMMON, *SINGLE, *PLATEAU},
+    "moments": {*COMMON, *SINGLE, "--p-exponent", "--f-mode", "--expect-positive"},
+    "sweep": {*COMMON, *PLATEAU, *SWEEP_OWN},
+}
+
+
+def test_each_subcommand_takes_exactly_its_flag_set():
+    # Adding a flag to a subcommand must be a deliberate edit of FLAG_SETS.
+    (sub,) = (a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    got = {
+        command: {s for a in p._actions for s in a.option_strings} - {"-h", "--help"}
+        for command, p in sub.choices.items()
+    }
+    assert got == FLAG_SETS
+    for command, flags in FLAG_SETS.items():
+        # a subcommand's JSON config keys are the fields behind its flags
+        assert {f.metadata["flag"] for f in cli._fields(command)} == flags - {"--config", *SWEEP_OWN}
+
+
+@pytest.mark.parametrize(
+    "command,key",
+    [("sweep", "seed"), ("sweep", "input_path"), ("sweep", "emit"), ("moments", "plateau_theta"),
+     ("reconstruct", "f_mode")],
+)  # fmt: skip
+def test_config_key_outside_subcommand_exits_one_naming_it(tmp_path, capsys, command, key):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"problem": "harmonic", key: getattr(cli.RunConfig(), key)}))
+    code = run_cli([command, "--config", str(config), "--out", str(tmp_path)])
+    assert code == cli.EXIT_ERROR
+    assert f"config: unknown field {key!r} for {command}" in capsys.readouterr().err
+    assert not list(tmp_path.glob("harmonic_*"))
+
+
+@pytest.mark.parametrize("command", ["reconstruct", "thermal", "moments"])
+def test_input_file_above_the_n_ceiling_exits_one(tmp_path, capsys, command):
+    start = 1 if command == "thermal" else 0
+    f = tmp_path / "long.csv"
+    f.write_text("".join(f"{k},0.5\n" for k in range(start, cli.MAX_N_COEFFS + 2)))
+    code = run_cli([command, "--input", str(f), "--n-max", "10", "--out", str(tmp_path)])
+    assert code == cli.EXIT_ERROR
+    assert f"input: N = {cli.MAX_N_COEFFS + 1} is above the ceiling" in capsys.readouterr().err
+
+
+def test_non_finite_epsilon_header_exits_one_naming_it(tmp_path, capsys):
+    f = tmp_path / "nan.csv"
+    f.write_text("# epsilon=nan\n0,1.0\n1,0.5\n")
+    code = run_cli(["reconstruct", "--input", str(f), "--out", str(tmp_path)])
+    assert code == cli.EXIT_ERROR
+    err = capsys.readouterr().err
+    assert "line 1: epsilon must be finite" in err
     assert "Traceback" not in err
 
 

@@ -130,6 +130,25 @@ def test_add_noise_bound_and_determinism():
     assert a.epsilon == 1e-6 and a.seed == 42
 
 
+def test_add_noise_adds_to_an_existing_epsilon(tmp_path):
+    # A file that declares its noise bound, plus more noise on top: the
+    # recorded bound is the sum, the worst case of the two.
+    f = tmp_path / "c.csv"
+    f.write_text("# epsilon=1e-05\n0,1.0\n1,0.25\n")
+    noisy = corpus.add_noise(corpus.load_coefficients(f), 1e-4, 3)
+    assert noisy.epsilon == 1e-05 + 1e-4
+    corpus.save_coefficients(noisy, f)
+    assert corpus.load_coefficients(f).epsilon == 1e-05 + 1e-4
+
+
+def test_add_noise_rejects_a_range_beyond_the_doubles():
+    # uniform(-eps, eps) needs 2 eps to be finite
+    cs = corpus.coefficients(corpus.builtin("harmonic"), 5)
+    with pytest.raises(InputError, match="epsilon"):
+        corpus.add_noise(cs, 1e308, 0)
+    assert np.all(np.isfinite(corpus.add_noise(cs, 8e307, 0).values))
+
+
 def test_noise_stream_order_is_ascending_k():
     # The draws are one vectorized pass in ascending k: a shorter set's
     # perturbations must be the prefix of a longer set's at the same seed.
@@ -177,6 +196,9 @@ def test_load_with_epsilon_header_and_crlf(tmp_path):
         ("", 1),  # empty
         ("1,1.0\n", 1),  # must start at 0
         ("0,1.0\n1\n", 2),  # malformed
+        ("# epsilon=nan\n0,1.0\n", 1),  # non-finite noise bound
+        ("# epsilon=inf\n0,1.0\n", 1),
+        ("# epsilon=-1e-3\n0,1.0\n", 1),
     ],
 )
 def test_load_parse_errors_carry_line_numbers(tmp_path, body, lineno):
