@@ -268,9 +268,10 @@ def add_noise(clean: CoefficientSet, epsilon: float, seed: int) -> CoefficientSe
     """Perturb each coefficient by an independent uniform draw on [-eps, eps].
 
     The result's ``epsilon`` is ``clean.epsilon + epsilon``, the worst-case
-    bound on the total noise of a set that was already noisy.  The generator is PCG64 with the given 64-bit seed and one vectorized
-    draw in ascending k, so identical seeds give bit-identical output on
-    every platform.
+    bound on the total noise of a set that was already noisy.  The
+    generator is PCG64 with the given 64-bit seed and one vectorized draw in
+    ascending k, so identical seeds give bit-identical output on every
+    platform.
     """
     if epsilon < 0.0:
         raise InputError("epsilon must be >= 0")
