@@ -27,6 +27,8 @@ POWER_CSV = "".join(f"{k},{1.0 / (k + 1) ** 2!r}\n" for k in range(16))
 THERMAL_CSV = "# epsilon=1e-06\n" + "".join(
     f"{k},{6.0 * (1.0 / (k + 1) - 1.0 / (k + 2))!r}\n" for k in range(1, 13)
 )
+# A short power sequence with a declared noise bound, g_k = 1/(k+2) for k = 0..11.
+NOISY_CSV = "# epsilon=1e-06\n" + "".join(f"{k},{1.0 / (k + 2)!r}\n" for k in range(12))
 
 # name -> (argv, extra environment)
 CASES = {
@@ -52,6 +54,14 @@ CASES = {
     "moments_harmonic": (["moments", "--problem", "harmonic", "--n-max", "40"], {}),
     "reconstruct_rejects_thermal": (["reconstruct", "--problem", "thermal_boson_demo"], {}),
     "thermal_rejects_power": (["thermal", "--problem", "harmonic"], {}),
+    "moments_harmonic_deep": (["moments", "--problem", "harmonic", "--n-max", "120", "--emit", "both"], {}),
+    "moments_rational_k_plus_1": (
+        ["moments", "--problem", "normalized_rational", "--f-mode", "k_plus_1", "--n-max", "30"],
+        {},
+    ),
+    "moments_thermal_k": (["moments", "--problem", "thermal_boson_demo", "--f-mode", "k", "--n-max", "20"], {}),
+    "moments_input_none": (["moments", "--input", "noisy.csv", "--f-mode", "none"], {}),
+    "moments_input_k_plus_1": (["moments", "--input", "noisy.csv", "--f-mode", "k_plus_1"], {}),
 }
 
 GOLDEN = {
@@ -147,6 +157,50 @@ GOLDEN = {
         "files": {
             "out": "dir",
         },
+    },    "moments_harmonic_deep": {
+        "exit": 0,
+        "stdout": "moments: rows 0..120, p=2.001: positivity_ok=True, min_weight=8.264e-03, lp_trend=flat, decay_bound_ok=True\n",
+        "stderr": "",
+        "files": {
+            "out": "dir",
+            "out/harmonic_moments.json": "7635b9417655727cd69ebfb1169dd2f008dc8c568f9b8cc3d37aafd52a39e0e5",
+        },
+    },
+    "moments_rational_k_plus_1": {
+        "exit": 0,
+        "stdout": "moments: rows 0..30, p=2.001: positivity_ok=False, min_weight=-1.000e-01, lp_trend=flat, decay_bound_ok=True\n",
+        "stderr": "",
+        "files": {
+            "out": "dir",
+            "out/normalized_rational_moments.json": "e10595e0a85ab4dc70dbf7e01df0939177bb4e4ead2b374cb59e7aed70fdbf74",
+        },
+    },
+    "moments_thermal_k": {
+        "exit": 0,
+        "stdout": "moments: rows 0..20, p=2: positivity_ok=False, min_weight=-5.000e-01, lp_trend=increasing, decay_bound_ok=True\n",
+        "stderr": "",
+        "files": {
+            "out": "dir",
+            "out/thermal_boson_demo_moments.json": "2221f93324b13b5515184e03ef0f334d4f6c867d498f955378cb87a0e8af23e1",
+        },
+    },
+    "moments_input_none": {
+        "exit": 0,
+        "stdout": "moments: rows 0..11, p=2.001: positivity_ok=True, min_weight=6.410e-03, lp_trend=flat, decay_bound_ok=True\n",
+        "stderr": "",
+        "files": {
+            "out": "dir",
+            "out/noisy_moments.json": "55482f535cc81e41759593397e6e8c569cb1e35ee61e374b3f59491aeb26c08c",
+        },
+    },
+    "moments_input_k_plus_1": {
+        "exit": 0,
+        "stdout": "moments: rows 0..11, p=2.001: positivity_ok=False, min_weight=-1.667e-01, lp_trend=increasing, decay_bound_ok=True\n",
+        "stderr": "",
+        "files": {
+            "out": "dir",
+            "out/noisy_moments.json": "0b792a6b5b78b8f7f5c989cf29f5df0a19e8639c1b9c2b1664697a36e898aabf",
+        },
     },
 }
 
@@ -156,13 +210,14 @@ def run_case(name: str) -> dict:
     argv, _ = CASES[name]
     Path("power.csv").write_text(POWER_CSV, encoding="utf-8")
     Path("thermal.csv").write_text(THERMAL_CSV, encoding="utf-8")
+    Path("noisy.csv").write_text(NOISY_CSV, encoding="utf-8")
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main([*argv, "--out", "out"])
     written = {
         p.as_posix(): "dir" if p.is_dir() else hashlib.sha256(p.read_bytes()).hexdigest()
         for p in sorted(Path(".").rglob("*"))
-        if p.name not in ("power.csv", "thermal.csv")
+        if p.name not in ("power.csv", "thermal.csv", "noisy.csv")
     }
     return {"exit": code, "stdout": out.getvalue(), "stderr": err.getvalue(), "files": written}
 
