@@ -8,7 +8,9 @@ test problems with exact ground truths, and the thermal (imaginary-time to
 real-time) variant of the same reconstruction.
 """
 
-from . import cli, corpus, moments, reconstruct, specfun, thermal
+# ``cli`` is left to be imported on demand, so ``python -m cutjump.cli`` runs
+# a module that the package import has not already loaded.
+from . import corpus, moments, reconstruct, specfun, thermal
 from .errors import (
     ConfigError,
     ConvergenceError,

@@ -46,6 +46,10 @@ EXIT_POSITIVITY = 2
 # the slowest run of each subcommand took 5-8 s on a 2-vCPU VM.
 MAX_N_COEFFS = 1000
 MAX_N_MAX = 800
+# Ceiling on a sweep's runs, len(n-list) * len(epsilons) * repeats, checked
+# before any cell is built.  A default cell (N = 60, n_max = 200) took about
+# 6 ms and the cheapest (N = 1, n_max = 0) under 1 ms on a 2-vCPU VM.
+MAX_SWEEP_CELLS = 10_000
 
 
 # --------------------------------------------------------------------------
@@ -185,6 +189,11 @@ class SweepConfig:
         if self.repeats < 1:
             raise ConfigError("repeats: must be >= 1")
         n_cells = len(self.ns) * len(self.epsilons)
+        if n_cells * self.repeats > MAX_SWEEP_CELLS:
+            raise ConfigError(
+                f"cell count: {n_cells * self.repeats} (n-list x epsilons x repeats)"
+                f" is above the ceiling {MAX_SWEEP_CELLS}"
+            )
         last_seed = self.seed_base + self.SEED_STRIDE * (n_cells - 1) + self.repeats - 1
         if self.seed_base < 0 or last_seed >= 2**64:
             raise ConfigError("seed-base: must be >= 0, with every cell seed below 2^64")
@@ -253,31 +262,13 @@ def _load(config: RunConfig, is_thermal: bool = False) -> corpus.CoefficientSet:
 
 
 def cmd_moments(config: RunConfig) -> int:
+    """``moments``: the Hausdorff check of the run's coefficients, read with
+    noise as for ``reconstruct``; ``check_f_sequence`` picks the rows."""
     config.validate()
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    p = config.p_exponent
-    if config.problem is not None:
-        spec = corpus.builtin(config.problem)
-        if config.f_mode == "none":
-            seq = moments.MomentSequence.from_function(spec.exact_rule, exact=True)
-            report = moments.hausdorff_check(
-                seq, config.n_max, p if p is not None else moments.DEFAULT_P_POWER
-            )
-        else:
-            g = corpus.coefficients(spec, config.n_coeffs, config.epsilon, config.seed)
-            report = moments.check_f_sequence(g, config.f_mode, n_max=config.n_max, p=p)
-    else:
-        cs = _load(config)
-        if config.f_mode == "none":
-            seq = moments.MomentSequence.from_values(cs.values)
-            n_rows = min(config.n_max, cs.N)
-            report = moments.hausdorff_check(
-                seq, n_rows, p if p is not None else moments.DEFAULT_P_POWER
-            )
-        else:
-            report = moments.check_f_sequence(cs, config.f_mode, n_max=min(config.n_max, cs.N), p=p)
-
+    cs, _ = _coefficients(config)
+    report = moments.check_f_sequence(cs, config.f_mode, n_max=config.n_max, p=config.p_exponent)
     payload = _report_payload("moments", config, report.to_dict())
     _write_json(out_dir / f"{config.stem()}_moments.json", payload)
     print(
@@ -292,19 +283,21 @@ def cmd_moments(config: RunConfig) -> int:
 
 
 def _coefficients(
-    config: RunConfig, is_thermal: bool
+    config: RunConfig, is_thermal: bool | None = None
 ) -> tuple[corpus.CoefficientSet, corpus.JumpGroundTruth | None]:
     """The coefficient set of a run, noise included, and its truth (None for
-    file input); InputError if the problem belongs to the other variant."""
+    file input).  With ``is_thermal`` None a problem keeps its own variant
+    and a file is read as power data; otherwise InputError if the problem
+    belongs to the other variant."""
     if config.problem is None:
-        cs = _load(config, is_thermal)
+        cs = _load(config, bool(is_thermal))
         if config.epsilon > 0.0:
             cs = corpus.add_noise(cs, config.epsilon, config.seed)
         return cs, None
     spec = corpus.builtin(config.problem)
     if is_thermal and spec.start_index != 1:
         raise InputError(f"{spec.id} is not a thermal problem")
-    if not is_thermal and spec.start_index != 0:
+    if is_thermal is False and spec.start_index != 0:
         raise InputError(f"{spec.id} is a thermal problem; use the thermal subcommand")
     return corpus.coefficients(spec, config.n_coeffs, config.epsilon, config.seed), spec.jump
 

@@ -224,39 +224,37 @@ def hausdorff_check(mu: MomentSequence, n_max: int, p: float = DEFAULT_P_POWER) 
     )
 
 
-def check_f_sequence(g, mode: str, n_max: int | None = None, p: float | None = None) -> HausdorffReport:
-    """Hausdorff check of the derived sequence f_k = (k+1) g_k or f_k = k g_k.
+_MULTIPLIERS = {"none": lambda k: 1, "k_plus_1": lambda k: k + 1, "k": lambda k: k}
 
-    ``mode`` selects the multiplier: "k_plus_1" is the hypothesis under which
-    a power series extends across its cut; "k" is the trigonometric/thermal
-    variant (checked at p = 2 by default).  ``g`` is a CoefficientSet; when
-    it carries an exact rational rule and no noise, the scan runs exactly.
+
+def check_f_sequence(cs, mode: str, n_max: int | None = None, p: float | None = None) -> HausdorffReport:
+    """Hausdorff check of g itself or of f_k = (k+1) g_k or f_k = k g_k.
+
+    ``mode`` selects the multiplier: "none" (1) checks g; "k_plus_1" is the
+    hypothesis under which a power series extends across its cut; "k" is the
+    trigonometric/thermal variant (checked at p = 2 by default).  ``cs`` is a
+    CoefficientSet.  A noise-free built-in carries its exact rational rule and
+    is scanned exactly up to row ``n_max`` (default N); float data (noisy, or
+    read from a file) stops at row min(n_max, N).  Sequences indexed from 1
+    (the thermal convention) are enlarged with f_0 = 0, which leaves the "k"
+    and "k_plus_1" checks unchanged; "none" needs data from k = 0.
     """
-    if mode not in ("k_plus_1", "k"):
+    if mode not in _MULTIPLIERS:
         raise InputError(f"unknown f-sequence mode {mode!r}")
+    start = cs.start_index
+    if mode == "none" and start != 0:
+        raise InputError(f"f-mode: none checks g from k = 0, but these coefficients start at k = {start}")
+    mult = _MULTIPLIERS[mode]
     if p is None:
-        p = DEFAULT_P_POWER if mode == "k_plus_1" else DEFAULT_P_THERMAL
-    mult = (lambda k: k + 1) if mode == "k_plus_1" else (lambda k: k)
-
-    exact_rule = getattr(g, "exact_rule", None)
-    use_exact = exact_rule is not None and getattr(g, "epsilon", 0.0) == 0.0
-    # Sequences indexed from 1 (the thermal convention) are enlarged with
-    # f_0 = 0, which leaves the check unchanged.
-    start = getattr(g, "start_index", 0)
-    values = np.asarray(g.values, dtype=float)
-    last = start + len(values) - 1
+        p = DEFAULT_P_THERMAL if mode == "k" else DEFAULT_P_POWER
     if n_max is None:
-        n_max = last
-
-    if use_exact:
-
-        def f_exact(k: int):
-            if k < start:
-                return Fraction(0)
-            return mult(k) * Fraction(exact_rule(k))
-
-        seq = MomentSequence.from_function(f_exact, exact=True)
+        n_max = cs.N
+    rule = cs.exact_rule
+    if rule is not None:
+        seq = MomentSequence.from_function(
+            lambda k: mult(k) * Fraction(rule(k)) if k >= start else Fraction(0), exact=True
+        )
     else:
-        fvals = [0.0] * start + [mult(start + j) * values[j] for j in range(len(values))]
-        seq = MomentSequence.from_values(fvals, exact=False)
-    return hausdorff_check(seq, min(n_max, last), p)
+        seq = MomentSequence.from_values([0.0] * start + [mult(start + j) * v for j, v in enumerate(cs.values)])
+        n_max = min(n_max, cs.N)
+    return hausdorff_check(seq, n_max, p)

@@ -1,9 +1,15 @@
 import argparse
+import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from cutjump import cli
+from cutjump.errors import ConfigError
 
 
 def run_cli(args):
@@ -46,6 +52,12 @@ def run_cli(args):
         (["thermal", "--problem", "thermal_boson_demo", "--n-max", "801"], "n-max: must be in 0..800"),
         (["sweep", "--problem", "harmonic", "--n-list", "10,1001"], "n-list: entries must be in 1..1000"),
         (["reconstruct", "--problem", "harmonic", "--epsilon", "1e308"], "epsilon must be at most half"),
+        (["moments", "--problem", "thermal_boson_demo"], "f-mode"),
+        (
+            ["sweep", "--problem", "harmonic", "--n-list", "1", "--n-max", "0", "--repeats", "10001"]
+            + ["--epsilons", "0"],
+            "cell count: 10001 (n-list x epsilons x repeats) is above the ceiling 10000",
+        ),
     ],
 )
 def test_invalid_config_exits_one_naming_field(capsys, args, needle):
@@ -209,6 +221,39 @@ def test_moments_alternating_file_fails_positivity(tmp_path):
     # without the flag the run is informational and exits 0
     code = run_cli(["moments", "--input", str(f), "--n-max", "10", "--out", str(tmp_path)])
     assert code == cli.EXIT_OK
+
+
+def _moments_run(out, args):
+    """The bytes of a moments report and its payload without ``config``."""
+    assert run_cli(["moments", *args, "--out", str(out)]) == cli.EXIT_OK
+    (path,) = out.glob("*_moments.json")
+    payload = json.loads(path.read_text())
+    del payload["config"]
+    return path.read_bytes(), payload
+
+
+@pytest.mark.parametrize("source", ["problem", "input"])
+def test_moments_epsilon_and_seed_act(tmp_path, source):
+    if source == "problem":
+        args = ["--problem", "harmonic", "--n-max", "20"]
+    else:
+        f = tmp_path / "h.csv"
+        f.write_text("".join(f"{k},{1.0 / (k + 1)!r}\n" for k in range(21)))
+        args = ["--input", str(f), "--n-max", "20"]
+    _, clean = _moments_run(tmp_path / "clean", args)
+    noisy_bytes, noisy = _moments_run(tmp_path / "seed3", [*args, "--epsilon", "1e-3", "--seed", "3"])
+    again_bytes, _ = _moments_run(tmp_path / "again", [*args, "--epsilon", "1e-3", "--seed", "3"])
+    _, other = _moments_run(tmp_path / "seed4", [*args, "--epsilon", "1e-3", "--seed", "4"])
+    assert noisy != clean
+    assert noisy != other
+    assert noisy_bytes == again_bytes
+
+
+def test_moments_exact_f_mode_reaches_n_max(tmp_path):
+    args = ["--problem", "harmonic", "--f-mode", "k_plus_1", "--n-max", "100", "--n-coeffs", "10"]
+    _, payload = _moments_run(tmp_path, args)
+    assert payload["n_max"] == 100
+    assert len(payload["lp_statistic"]) == 101
 
 
 def test_moments_empty_file(tmp_path):
@@ -504,6 +549,32 @@ def test_sweep_bad_threads_env(tmp_path, monkeypatch):
         ]
     )
     assert code == cli.EXIT_ERROR
+
+
+def test_sweep_validate_bounds_the_run_count():
+    base = cli.RunConfig(problem="harmonic")
+    at = cli.SweepConfig(base=base, ns=[10, 20], epsilons=[1e-3, 1e-4], repeats=cli.MAX_SWEEP_CELLS // 4)
+    at.validate()
+    with pytest.raises(ConfigError, match=f"cell count: {cli.MAX_SWEEP_CELLS + 4} "):
+        dataclasses.replace(at, repeats=at.repeats + 1).validate()
+    huge = cli.SweepConfig(base=base, ns=list(range(1, 1001)), repeats=10**6)
+    with pytest.raises(ConfigError, match="cell count: 5000000000 "):
+        huge.validate()
+
+
+# ------------------------------------------------------------ entry points
+
+
+def test_module_entry_starts_without_warning():
+    # The package must not import cli itself, or runpy warns that
+    # cutjump.cli is already in sys.modules.
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "cutjump.cli", "--help"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )  # fmt: skip
+    assert proc.returncode == 0, proc.stderr
 
 
 # ------------------------------------------------------------ determinism

@@ -211,6 +211,22 @@ def test_f_sequence_thermal_indexing():
     assert report.positivity_ok is not None  # runs through the enlarged f_0 = 0
 
 
+def test_f_sequence_none_is_the_plain_check():
+    spec = corpus.builtin("harmonic")
+    exact = corpus.coefficients(spec, 30)
+    assert check_f_sequence(exact, "none") == hausdorff_check(
+        MomentSequence.from_function(spec.exact_rule, exact=True), 30
+    )
+    noisy = corpus.coefficients(spec, 30, epsilon=1e-3, seed=3)
+    assert check_f_sequence(noisy, "none") == hausdorff_check(MomentSequence.from_values(noisy.values), 30)
+
+
+def test_f_sequence_none_needs_data_from_zero():
+    cs = corpus.coefficients(corpus.builtin("thermal_boson_demo"), 10)
+    with pytest.raises(InputError, match="f-mode"):
+        check_f_sequence(cs, "none")
+
+
 def test_f_sequence_unknown_mode():
     cs = corpus.CoefficientSet(values=np.ones(3), N=2)
     with pytest.raises(InputError):
