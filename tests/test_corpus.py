@@ -1,9 +1,10 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
-from cutjump import corpus
+from cutjump import cli, corpus
 from cutjump.errors import DomainError, InputError, ParseError
 from cutjump.specfun import integrate_adaptive
 
@@ -107,6 +108,69 @@ def test_jump_norms_match_declared_constants():
     spec = corpus.builtin("thermal_boson_demo")
     norm = integrate_adaptive(lambda v: np.exp(-v) * spec.jump(v) ** 2, 0.0, math.inf).value
     assert norm == pytest.approx(spec.jump_norm_sq, rel=1e-9)
+
+
+GATE_POINTS = [
+    0.5, 1.0, 2.5, 7.0, 0.5 + 1j, 0.75 - 2j, 1.5 + 0.25j, 3.0 + 4j, 10.0 - 10j, 0.5 + 100j, 40.0 + 1j, 1000.0 - 3j,
+]  # fmt: skip
+# Recorded from the hand-written closed forms: per problem, the sha256 of the
+# lines "k,<coefficient_rule(k).hex()>,<exact_rule(k)>" for k = start_index..
+# cli.MAX_N_COEFFS, jump_norm_sq.hex(), continuous, gtilde_half_plane, and
+# g~ at GATE_POINTS.
+_RATIONAL_GTILDE = [
+    0.6857142857142857, 0.5, 0.24242424242424243, 0.06666666666666667,
+    0.48405985686402087 - 0.3747560182173064j, 0.18135228654259797 + 0.3734779762461423j,
+    0.37635298711440845 - 0.04798125732135884j, 0.039399624765478425 - 0.12382739212007506j,
+    0.0051191419343043455 + 0.02285331220671583j, -0.0005983675618853475 - 3.593349552170234e-05j,
+    0.0033167445065462064 - 0.00015619018451879644j, 5.969953223448275e-06 + 3.5730722220107495e-08j,
+]  # fmt: skip
+CLOSED_FORM_GATE = {
+    "harmonic": (
+        "0de766d340c7d450d403d9ec47a11a2deac86bef548b63c482afab24c2801582", "0x1.0000000000000p+0", False, -0.5,
+        [
+            0.6666666666666666, 0.5, 0.2857142857142857, 0.125,
+            0.46153846153846156 - 0.3076923076923077j, 0.24778761061946902 + 0.2831858407079646j,
+            0.39603960396039606 - 0.039603960396039604j, 0.125 - 0.125j,
+            0.0497737556561086 + 0.04524886877828054j, 0.0001499662575920418 - 0.00999775050613612j,
+            0.02437574316290131 - 0.0005945303210463734j, 0.0009989920260276843 + 2.993982095987066e-06j,
+        ],
+    ),
+    "normalized_rational": (
+        "8e3f04479d9682b69b46965a0a8612b16748177d6dcda0651981c617323ae368", "0x1.3333333333333p+0", True, -0.5,
+        _RATIONAL_GTILDE,
+    ),
+    "rational_unnormalized": (
+        "29fcf4b95fdfbded5ddfea6198b6de91c6dcd0d67c53716bf0e70cfc1eac3cc8", "0x1.1111111111111p-5", True, -0.5,
+        [
+            0.11428571428571428, 0.08333333333333333, 0.04040404040404041, 0.011111111111111112,
+            0.08067664281067013 - 0.062459336369551074j, 0.030225381090432994 + 0.062246329374357055j,
+            0.0627254978524014 - 0.007996876220226474j, 0.006566604127579738 - 0.020637898686679174j,
+            0.0008531903223840576 + 0.0038088853677859715j, -9.972792698089126e-05 - 5.9889159202837235e-06j,
+            0.0005527907510910344 - 2.6031697419799404e-05j, 9.949922039080458e-07 + 5.955120370017916e-09j,
+        ],
+    ),
+    "thermal_boson_demo": (
+        "a5eefe84b8b05466e4f9e2d91da52537db42b1e4c6467abb2aa1986c762dfc4f", "0x1.5f15f15f15f16p-2", True, 0.5,
+        _RATIONAL_GTILDE,
+    ),
+}  # fmt: skip
+
+
+@pytest.mark.parametrize("problem_id", corpus.BUILTIN_IDS)
+def test_closed_forms_match_the_recorded_values(problem_id):
+    digest, norm_hex, continuous, half_plane, gtilde_values = CLOSED_FORM_GATE[problem_id]
+    spec = corpus.builtin(problem_id)
+    h = hashlib.sha256()
+    for k in range(spec.start_index, cli.MAX_N_COEFFS + 1):
+        h.update(f"{k},{spec.coefficient_rule(k).hex()},{spec.exact_rule(k)}\n".encode())
+    assert h.hexdigest() == digest
+    assert spec.jump_norm_sq.hex() == norm_hex
+    assert spec.continuous is continuous
+    assert spec.gtilde_half_plane == half_plane
+    for lam, want in zip(GATE_POINTS, gtilde_values):
+        assert abs(corpus.gtilde_eval(spec, lam) - want) <= 1e-15 * abs(want)
+    # the interpolant also takes arrays, as the Plancherel quadratures need
+    np.testing.assert_allclose(spec.gtilde(np.array(GATE_POINTS)), gtilde_values, rtol=1e-15, atol=0)
 
 
 # ------------------------------------------------------------------ noise
