@@ -115,8 +115,9 @@ class RunConfig:
             raise ConfigError(
                 f"problem: unknown id {self.problem!r} (known: {', '.join(corpus.BUILTIN_IDS)})"
             )
-        if not 0 <= self.n_coeffs <= MAX_N_COEFFS:
-            raise ConfigError(f"n-coeffs: must be in 0..{MAX_N_COEFFS}")
+        lo = 0 if self.problem is None else corpus.builtin(self.problem).start_index
+        if not lo <= self.n_coeffs <= MAX_N_COEFFS:
+            raise ConfigError(f"n-coeffs: must be in {lo}..{MAX_N_COEFFS}")
         _check_finite("epsilon", self.epsilon)
         if self.epsilon < 0.0:
             raise ConfigError("epsilon: must be >= 0")
@@ -503,9 +504,9 @@ def _sweep_from_args(args: argparse.Namespace) -> SweepConfig:
     if base.problem is None:
         base.problem = "normalized_rational"
     sweep = SweepConfig(base=base)
-    if args.epsilons:
+    if args.epsilons is not None:
         sweep.epsilons = _parse_list(args.epsilons, "epsilons", float)
-    if args.n_list:
+    if args.n_list is not None:
         sweep.ns = _parse_list(args.n_list, "n-list", int)
     if args.repeats is not None:
         sweep.repeats = args.repeats

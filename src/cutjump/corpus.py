@@ -1,11 +1,12 @@
 """Built-in test problems, noise injection, and coefficient file I/O.
 
-Each built-in problem bundles a closed-form coefficient rule g_k, the
-closed-form interpolant g~(lambda) that restricts to those coefficients on
-the integers, and (where known) the exact jump function the reconstruction
-should recover.  The closed forms were derived by hand once; the test suite
-re-derives every one of them by quadrature so a transcription slip cannot
-survive unnoticed.
+Each built-in problem is defined by its interpolant
+g~(lambda) = scale / prod_i (lambda + a_i) and by the exact jump function
+the reconstruction should recover; only these two are written by hand.  The
+coefficients, their exact rationals, the half-plane, continuity and the norm
+of the jump are all derived from the interpolant.  The test suite re-derives
+the jumps and norms by quadrature so a transcription slip cannot survive
+unnoticed.
 """
 
 from __future__ import annotations
@@ -39,15 +40,13 @@ __all__ = [
 class JumpGroundTruth:
     """Closed-form jump function with its support.
 
-    ``variable`` is "x" for jumps on [1, inf) (power-series cut) and "v" for
-    jumps on [0, inf) (thermal, logarithmic variable).  Evaluation returns 0
+    The support is [1, inf) in x for power-series problems and [0, inf) in
+    the logarithmic variable v for thermal ones.  Evaluation returns 0
     outside the support.
     """
 
     formula: Callable[[np.ndarray], np.ndarray]
     support_lo: float
-    variable: str
-    continuous: bool
 
     def __call__(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -60,122 +59,98 @@ class JumpGroundTruth:
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """A fully specified test problem.
+    """A test problem with interpolant g~(lambda) = scale / prod_i (lambda + a_i).
 
-    ``start_index`` is 0 for power-series problems and 1 for thermal ones
-    (whose coefficient sequence has no k = 0 entry).  ``jump_norm_sq`` is the
-    squared reconstruction-space norm of the jump (L^2(1, inf) for power
-    problems, e^{-v}-weighted L^2(0, inf) for thermal ones); it doubles as
-    the known energy constant for plateau detection.
+    The poles a_i are distinct integers.  ``start_index`` is 0 for
+    power-series problems and 1 for thermal ones (whose coefficient sequence
+    has no k = 0 entry).  g~ is the Mellin transform of the jump on [1, inf)
+    for power problems and its Laplace transform on [0, inf) for thermal
+    ones, so the jump is sum_i r_i x^{-a_i} (or e^{-a_i v}) with r_i the
+    residues of g~; ``jump`` is that sum written out by hand.
     """
 
     id: str
-    coefficient_rule: Callable[[int], float]
-    exact_rule: Callable[[int], Fraction]
-    gtilde: Callable[[complex], complex]
-    gtilde_half_plane: float
-    jump: JumpGroundTruth | None
-    continuous: bool
-    normalization: float | None
+    scale: int
+    poles: tuple[int, ...]
     start_index: int
-    jump_norm_sq: float | None
+    jump: JumpGroundTruth
 
+    def gtilde(self, lam):
+        """g~ at a complex point or at each entry of an array."""
+        return self.scale / math.prod(lam + a for a in self.poles)
 
-def _normalized_rational() -> ProblemSpec:
-    return ProblemSpec(
-        id="normalized_rational",
-        coefficient_rule=lambda k: 6.0 / ((k + 2) * (k + 3)),
-        exact_rule=lambda k: Fraction(6, (k + 2) * (k + 3)),
-        gtilde=lambda lam: 6.0 / ((lam + 2.0) * (lam + 3.0)),
-        gtilde_half_plane=-0.5,
-        jump=JumpGroundTruth(
-            formula=lambda x: 6.0 * (x**-2.0 - x**-3.0),
-            support_lo=1.0,
-            variable="x",
-            continuous=True,
-        ),
-        continuous=True,
-        normalization=1.0,
-        start_index=0,
-        jump_norm_sq=1.2,  # int_1^inf 36 (x^-2 - x^-3)^2 dx = 36 (1/3 - 1/2 + 1/5)
-    )
+    def coefficient_rule(self, k: int) -> float:
+        """g_k = g~(k) as a double, correctly rounded since int / int is."""
+        return self.gtilde(k)
 
+    def exact_rule(self, k: int) -> Fraction:
+        """g_k as an exact rational."""
+        return Fraction(self.scale, math.prod(k + a for a in self.poles))
 
-def _harmonic() -> ProblemSpec:
-    return ProblemSpec(
-        id="harmonic",
-        coefficient_rule=lambda k: 1.0 / (k + 1),
-        exact_rule=lambda k: Fraction(1, k + 1),
-        gtilde=lambda lam: 1.0 / (lam + 1.0),
-        gtilde_half_plane=-0.5,
-        jump=JumpGroundTruth(
-            formula=lambda x: 1.0 / x,
-            support_lo=1.0,
-            variable="x",
-            continuous=False,  # J(1) = 1, discontinuous at the cut endpoint
-        ),
-        continuous=False,
-        normalization=1.0,
-        start_index=0,
-        jump_norm_sq=1.0,  # int_1^inf x^-2 dx
-    )
+    @property
+    def gtilde_half_plane(self) -> float:
+        """``gtilde_eval`` takes Re(lambda) >= this; the boundary is the
+        critical line of the reconstruction space, where Plancherel holds."""
+        return self.start_index - 0.5
 
+    @property
+    def continuous(self) -> bool:
+        """Whether the jump vanishes at the end of the cut, which holds
+        exactly when g~ decays faster than 1/lambda."""
+        return len(self.poles) >= 2
 
-def _rational_unnormalized() -> ProblemSpec:
-    return ProblemSpec(
-        id="rational_unnormalized",
-        coefficient_rule=lambda k: 1.0 / ((k + 2) * (k + 3)),
-        exact_rule=lambda k: Fraction(1, (k + 2) * (k + 3)),
-        gtilde=lambda lam: 1.0 / ((lam + 2.0) * (lam + 3.0)),
-        gtilde_half_plane=-0.5,
-        jump=JumpGroundTruth(
-            formula=lambda x: x**-2.0 - x**-3.0,
-            support_lo=1.0,
-            variable="x",
-            continuous=True,
-        ),
-        continuous=True,
-        normalization=None,  # gtilde(0) = 1/6; not a probability normalization
-        start_index=0,
-        jump_norm_sq=1.2 / 36.0,
-    )
-
-
-def _thermal_boson_demo() -> ProblemSpec:
-    def rule(k: int) -> float:
-        if k < 1:
-            raise DomainError("thermal coefficients start at k = 1")
-        return 6.0 / ((k + 2) * (k + 3))
-
-    def exact(k: int) -> Fraction:
-        if k < 1:
-            raise DomainError("thermal coefficients start at k = 1")
-        return Fraction(6, (k + 2) * (k + 3))
-
-    return ProblemSpec(
-        id="thermal_boson_demo",
-        coefficient_rule=rule,
-        exact_rule=exact,
-        gtilde=lambda lam: 6.0 / ((lam + 2.0) * (lam + 3.0)),
-        gtilde_half_plane=0.5,
-        jump=JumpGroundTruth(
-            formula=lambda v: 6.0 * (np.exp(-2.0 * v) - np.exp(-3.0 * v)),
-            support_lo=0.0,
-            variable="v",
-            continuous=True,
-        ),
-        continuous=True,
-        normalization=1.0,
-        start_index=1,
-        jump_norm_sq=12.0 / 35.0,  # int_0^inf e^-v 36 (e^-2v - e^-3v)^2 dv
-    )
+    @property
+    def jump_norm_sq(self) -> float:
+        """The squared reconstruction-space norm of the jump (L^2(1, inf) for
+        power problems, e^{-v}-weighted L^2(0, inf) for thermal ones); it
+        doubles as the known energy constant for plateau detection."""
+        residues = [
+            Fraction(self.scale, math.prod(b - a for b in self.poles if b != a)) for a in self.poles
+        ]
+        shift = 2 * self.start_index - 1
+        return float(
+            sum(
+                ri * rj / (ai + aj + shift)
+                for ri, ai in zip(residues, self.poles)
+                for rj, aj in zip(residues, self.poles)
+            )
+        )
 
 
 _BUILTINS = {
-    "normalized_rational": _normalized_rational,
-    "harmonic": _harmonic,
-    "rational_unnormalized": _rational_unnormalized,
-    "thermal_boson_demo": _thermal_boson_demo,
+    spec.id: spec
+    for spec in (
+        ProblemSpec(
+            id="normalized_rational",
+            scale=6,
+            poles=(2, 3),
+            start_index=0,
+            jump=JumpGroundTruth(formula=lambda x: 6.0 * (x**-2.0 - x**-3.0), support_lo=1.0),
+        ),
+        ProblemSpec(
+            id="harmonic",
+            scale=1,
+            poles=(1,),
+            start_index=0,
+            jump=JumpGroundTruth(formula=lambda x: 1.0 / x, support_lo=1.0),
+        ),
+        ProblemSpec(
+            id="rational_unnormalized",
+            scale=1,
+            poles=(2, 3),
+            start_index=0,
+            jump=JumpGroundTruth(formula=lambda x: x**-2.0 - x**-3.0, support_lo=1.0),
+        ),
+        ProblemSpec(
+            id="thermal_boson_demo",
+            scale=6,
+            poles=(2, 3),
+            start_index=1,
+            jump=JumpGroundTruth(
+                formula=lambda v: 6.0 * (np.exp(-2.0 * v) - np.exp(-3.0 * v)), support_lo=0.0
+            ),
+        ),
+    )
 }
 BUILTIN_IDS = tuple(sorted(_BUILTINS))
 
@@ -187,12 +162,11 @@ def builtin(problem_id: str) -> ProblemSpec:
     thermal_boson_demo.
     """
     try:
-        factory = _BUILTINS[problem_id]
+        return _BUILTINS[problem_id]
     except KeyError:
         raise InputError(
             f"unknown problem id {problem_id!r}; known ids: {', '.join(BUILTIN_IDS)}"
         ) from None
-    return factory()
 
 
 def gtilde_eval(spec: ProblemSpec, lam: complex) -> complex:

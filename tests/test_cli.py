@@ -58,6 +58,14 @@ def run_cli(args):
             + ["--epsilons", "0"],
             "cell count: 10001 (n-list x epsilons x repeats) is above the ceiling 10000",
         ),
+        (["thermal", "--problem", "thermal_boson_demo", "--n-coeffs", "0"], "n-coeffs: must be in 1..1000"),
+        (
+            ["moments", "--problem", "thermal_boson_demo", "--n-coeffs", "0", "--f-mode", "k"],
+            "n-coeffs: must be in 1..1000",
+        ),
+        (["sweep", "--problem", "harmonic", "--n-list", "", "--epsilons", "1e-3"], "n-list: at least one"),
+        (["sweep", "--problem", "harmonic", "--n-list", "10", "--epsilons", ""], "epsilons: at least one"),
+        (["sweep", "--problem", "harmonic", "--epsilons=-1e-3"], "epsilons: must be >= 0"),
     ],
 )
 def test_invalid_config_exits_one_naming_field(capsys, args, needle):
@@ -69,25 +77,31 @@ def test_invalid_config_exits_one_naming_field(capsys, args, needle):
 
 
 @pytest.mark.parametrize(
-    "text,needle",
+    "command,text,needle",
     [
-        ('{"problem": "harmonic", "epsilon": 1e400}', "epsilon: must be finite"),
-        ('{"problem": "harmonic", "plateau_theta": NaN}', "plateau-theta"),
-        ('{"problem": "harmonic", "epsilon": 1' + "0" * 400 + "}", "epsilon: must be finite"),
-        ('{"problem": "harmonic", "seed": -1}', "seed: must be in"),
-        ('{"problem": "harmonic", "n_coeffs": 1' + "0" * 5000 + "}", "config: cannot read"),
+        ("reconstruct", '{"problem": "harmonic", "epsilon": 1e400}', "epsilon: must be finite"),
+        ("reconstruct", '{"problem": "harmonic", "plateau_theta": NaN}', "plateau-theta"),
+        ("reconstruct", '{"problem": "harmonic", "epsilon": 1' + "0" * 400 + "}", "epsilon: must be finite"),
+        ("reconstruct", '{"problem": "harmonic", "seed": -1}', "seed: must be in"),
+        ("reconstruct", '{"problem": "harmonic", "n_coeffs": 1' + "0" * 5000 + "}", "config: cannot read"),
+        # argparse checks the choices of flags; only a JSON config reaches validate's own check
+        ("reconstruct", '{"problem": "harmonic", "emit": "xml"}', "emit: must be one of json, csv, both"),
+        ("moments", '{"problem": "harmonic", "f_mode": "bogus"}', "f-mode: must be one of none, k_plus_1, k"),
     ],
-    ids=["epsilon-1e400", "plateau_theta-NaN", "epsilon-integer-1e400", "seed-negative", "n_coeffs-long"],
-)
-def test_config_value_out_of_range_exits_one_naming_field(tmp_path, capsys, text, needle):
+    ids=[
+        "epsilon-1e400", "plateau_theta-NaN", "epsilon-integer-1e400", "seed-negative", "n_coeffs-long",
+        "emit-xml", "f_mode-bogus",
+    ],
+)  # fmt: skip
+def test_config_value_out_of_range_exits_one_naming_field(tmp_path, capsys, command, text, needle):
     config = tmp_path / "cfg.json"
     config.write_text(text)
-    code = run_cli(["reconstruct", "--config", str(config), "--out", str(tmp_path)])
+    code = run_cli([command, "--config", str(config), "--out", str(tmp_path)])
     assert code == cli.EXIT_ERROR
     err = capsys.readouterr().err
     assert needle in err
     assert "Traceback" not in err
-    assert not list(tmp_path.glob("*_report.json"))
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
 
 @pytest.mark.parametrize(

@@ -302,6 +302,13 @@ def test_quadrature_log_transform_branch():
     assert res.value == pytest.approx(math.sqrt(math.pi / 2.0), rel=1e-9)
 
 
+@pytest.mark.parametrize("b", [0.0, 1.0])
+def test_quadrature_lower_infinite_limit(b):
+    # (-inf, b] is flipped onto [-b, inf)
+    res = integrate_adaptive(np.exp, -math.inf, b)
+    assert res.value == pytest.approx(math.exp(b), rel=1e-10)
+
+
 def test_quadrature_doubly_infinite_gaussian():
     res = integrate_adaptive(lambda x: np.exp(-(x**2)), -math.inf, math.inf)
     assert res.value == pytest.approx(math.sqrt(math.pi), rel=1e-8)
