@@ -384,6 +384,44 @@ def test_density_check_of_reconstruction(normalized60_report):
     assert out.integral_of_j_over_x == pytest.approx(1.0, abs=1e-2)
 
 
+# Integral checks of noise-free reconstructions at n_max = 200, recorded before
+# the adaptive quadrature was batched: Mellin moments k = 0, 1, 2, the real part
+# of cauchy_check at z = 0.5 (its imaginary part is exactly 0), and the two
+# density_check fields.  A change to the quadrature may move these only in the
+# last bits.
+CHECK_GATE = {
+    ("normalized_rational", 60): (
+        (0.999557954866609, 0.49962165485485854, 0.2996868011164846),
+        1.3637128488444508,
+        (0.999557954866609, 0.002335663709990837),
+    ),
+    ("harmonic", 20): (
+        (0.9614613310106439, 0.46138770599263546, 0.2950288479269474),
+        1.3097461563236994,
+        (0.9614613310106439, 0.020149256277340592),
+    ),
+    ("rational_unnormalized", 120): (
+        (0.16662769838088615, 0.08330817124142881, 0.049988680233492),
+        0.22736078238801463,
+        (0.16662769838088615, 0.0003859397909398616),
+    ),
+}
+
+
+@pytest.mark.parametrize("pid,n", list(CHECK_GATE), ids=[f"{p}_N{n}" for p, n in CHECK_GATE])
+def test_integral_checks_of_reconstruction_match_recorded(pid, n):
+    spec = corpus.builtin(pid)
+    rep = reconstruct.build_report(corpus.coefficients(spec, n), n_max=200)
+    j = expansion_fn(rep.c, rep.m_t)
+    mellin, cauchy, density = CHECK_GATE[pid, n]
+    assert [mellin_of_reconstruction(j, k) for k in (0, 1, 2)] == pytest.approx(mellin, rel=1e-12)
+    z = cauchy_check(j, 0.5)
+    assert z.real == pytest.approx(cauchy, rel=1e-12)
+    assert z.imag == 0.0
+    out = density_check(j)
+    assert (out.integral_of_j_over_x, out.min_value) == pytest.approx(density, rel=1e-12)
+
+
 # -------------------------------------------------------- truncation choice
 
 
