@@ -68,12 +68,13 @@ def run_cli(args):
         (["sweep", "--problem", "harmonic", "--epsilons=-1e-3"], "epsilons: must be >= 0"),
     ],
 )
-def test_invalid_config_exits_one_naming_field(capsys, args, needle):
-    code = run_cli(args + ["--out", "/tmp/cutjump-test-unused"])
+def test_invalid_config_exits_one_naming_field(tmp_path, capsys, args, needle):
+    code = run_cli(args + ["--out", str(tmp_path)])
     assert code == cli.EXIT_ERROR
     err = capsys.readouterr().err
     assert needle in err
     assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize(
@@ -131,13 +132,14 @@ def test_usage_error_exits_one_naming_flag(capsys, args, flag):
         (["sweep", "--seed-b", "5"], "--seed-b"),
     ],
 )
-def test_flag_outside_subcommand_exits_one_naming_it(capsys, args, flag):
+def test_flag_outside_subcommand_exits_one_naming_it(tmp_path, capsys, args, flag):
     with pytest.raises(SystemExit) as exc:
-        run_cli([*args, "--problem", "harmonic", "--out", "/tmp/cutjump-test-unused"])
+        run_cli([*args, "--problem", "harmonic", "--out", str(tmp_path)])
     assert exc.value.code == cli.EXIT_ERROR
     err = capsys.readouterr().err
     assert f"unrecognized arguments: {flag}" in err
     assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
 
 
 COMMON = ["--config", "--problem", "--n-max", "--out"]
