@@ -7,6 +7,13 @@ raw mpmath floats, serves as a reference), and adaptive Gauss-Kronrod
 quadrature.  Synthesis is exact, so there is no extended-precision scalar
 type.
 
+The quadrature refines in batched passes, the idiom of QUADPACK's adaptive
+Gauss-Kronrod as vectorised in ``scipy.integrate.quad_vec``: each pass
+bisects every panel it picks and evaluates all the new nodes in one call of
+the integrand.  An integrand such as a truncated expansion, whose cost is a
+long recurrence more than its point count, is then called once per pass,
+not once per panel.
+
 All functions here are pure.  The one piece of shared state is the cache of
 ``rotated_int_seq``, which only ever appends exact integers under a lock, so
 every caller, in any thread, sees the same values whatever ran before it.
@@ -302,7 +309,8 @@ class QuadratureResult:
 
     ``error_estimate`` bounds the absolute error of ``value`` under the
     adaptive-subdivision contract (sum of per-panel Gauss/Kronrod
-    discrepancies after refinement).
+    discrepancies after refinement).  ``evaluations`` counts the abscissae
+    passed to the integrand: 15 per panel ever evaluated.
     """
 
     value: float
@@ -322,13 +330,24 @@ class _EvalCounter:
         return np.asarray(self.fn(x), dtype=float)
 
 
-def _panel(f: _EvalCounter, lo: float, hi: float):
+def _gk_panels(g: Callable, lo: np.ndarray, hi: np.ndarray):
+    """Kronrod estimates and Gauss/Kronrod discrepancies of the panels
+    [lo_i, hi_i], with the nodes of every panel evaluated in one call of ``g``."""
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
-    y = f(mid + half * _GK_NODES)
-    k15 = half * float(_K15_WEIGHTS @ y)
-    g7 = half * float(_G7_WEIGHTS @ y)
-    return k15, abs(k15 - g7)
+    y = g((mid[:, None] + half[:, None] * _GK_NODES).ravel()).reshape(-1, _GK_NODES.size)
+    k15 = half * (y @ _K15_WEIGHTS)
+    g7 = half * (y @ _G7_WEIGHTS)
+    return k15, np.abs(k15 - g7)
+
+
+def _fsum(values: np.ndarray) -> float:
+    """Correctly rounded sum; a sum that overflows or meets inf - inf falls
+    back to numpy's, so it ends as inf or nan rather than raising."""
+    try:
+        return math.fsum(values)
+    except (OverflowError, ValueError):
+        return float(np.sum(values))
 
 
 def _transform_semi_infinite(f: Callable, a: float):
@@ -367,8 +386,18 @@ def integrate_adaptive(
     integrand values elementwise.  ``b`` may be ``inf`` and ``a`` may be
     ``-inf``; semi-infinite ranges are reduced to (0, 1] by x = a/t (for
     a > 0) or x = a - ln t, and a doubly-infinite range is split at 0.
-    Subdivision stops once the accumulated error estimate drops below
-    max(abs_tol, rel_tol * |value|).
+
+    Each refinement pass sums the panels' values and error estimates once
+    (``math.fsum``) and stops if the error is at most
+    tol = max(abs_tol, rel_tol * |value|).  Otherwise it sorts the panels
+    by error, keeps the best ones while their summed error stays within
+    tol/2, and bisects the rest, the worst first and never more than the
+    ``max_intervals - panels`` that the cap leaves room for.  The 15
+    Gauss-Kronrod nodes of every new half-panel go to ``f`` in one 1-D
+    array, so ``f`` is called once per pass with a multiple of 15 points,
+    and at most 2 * max_intervals - 1 panels are ever evaluated.  Batching
+    assumes ``f`` is elementwise: its value at a point must not depend on
+    the other points of the array.
 
     Raises
     ------
@@ -404,14 +433,15 @@ def integrate_adaptive(
             return QuadratureResult(0.0, 0.0, 0)
         raise DomainError(f"empty integration range [{a}, {b}]")
 
-    val, err = _panel(g, lo, hi)
-    panels = [(lo, hi, val, err)]
+    lo_p, hi_p = np.array([lo]), np.array([hi])
+    val, err = _gk_panels(g, lo_p, hi_p)
     while True:
-        total = sum(p[2] for p in panels)
-        total_err = sum(p[3] for p in panels)
-        if total_err <= max(abs_tol, rel_tol * abs(total)):
+        total, total_err = _fsum(val), _fsum(err)
+        tol = max(abs_tol, rel_tol * abs(total))
+        if total_err <= tol:
             return QuadratureResult(total, total_err, counter.count)
-        if len(panels) >= max_intervals:
+        room = max_intervals - val.size
+        if room <= 0:
             raise ConvergenceError(
                 f"quadrature did not converge within {max_intervals} panels "
                 f"(error estimate {total_err:.3e})",
@@ -419,10 +449,16 @@ def integrate_adaptive(
                 total_err,
                 counter.count,
             )
-        worst = max(range(len(panels)), key=lambda i: panels[i][3])
-        plo, phi, _, _ = panels.pop(worst)
-        mid = 0.5 * (plo + phi)
-        v1, e1 = _panel(g, plo, mid)
-        v2, e2 = _panel(g, mid, phi)
-        panels.append((plo, mid, v1, e1))
-        panels.append((mid, phi, v2, e2))
+        # Keep the panels of least error while their summed error stays
+        # within tol/2; bisect the rest, at most ``room`` of the worst.
+        order = np.argsort(err, kind="stable")
+        n_keep = int(np.searchsorted(np.cumsum(err[order]), 0.5 * tol, side="right"))
+        keep, split = np.split(order, [max(n_keep, order.size - room)])
+        mid = 0.5 * (lo_p[split] + hi_p[split])
+        new_lo = np.concatenate([lo_p[split], mid])
+        new_hi = np.concatenate([mid, hi_p[split]])
+        new_val, new_err = _gk_panels(g, new_lo, new_hi)
+        lo_p = np.concatenate([lo_p[keep], new_lo])
+        hi_p = np.concatenate([hi_p[keep], new_hi])
+        val = np.concatenate([val[keep], new_val])
+        err = np.concatenate([err[keep], new_err])

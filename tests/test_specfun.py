@@ -9,6 +9,7 @@ import scipy.special
 from mpmath import mp
 
 from cutjump.errors import ConfigError, ConvergenceError, DomainError
+from cutjump.reconstruct import expansion_fn, mellin_of_reconstruction
 from cutjump.specfun import (
     integrate_adaptive,
     laguerre_scaled_seq,
@@ -342,3 +343,76 @@ def test_quadrature_degenerate_and_invalid_ranges():
         integrate_adaptive(lambda x: x, 3.0, 1.0)
     with pytest.raises(ConfigError):
         integrate_adaptive(lambda x: x, 0.0, 1.0, abs_tol=0.0)
+
+
+# ------------------------------------------------- batched refinement passes
+
+
+class _Recorder:
+    """Wraps an integrand and records the shape of every batch it is given."""
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.shapes = []
+
+    def __call__(self, x):
+        self.shapes.append(np.shape(x))
+        return self.fn(x)
+
+
+@pytest.mark.parametrize(
+    "fn,a,b,max_intervals",
+    [
+        (lambda x: np.sin(10.0 * x), 0.0, math.pi, 2000),
+        (lambda x: 6.0 * (x**-2.0 - x**-3.0), 1.0, math.inf, 2000),
+        (lambda v: np.exp(-((v + 1.0) ** 2) / 2.0), -1.0, math.inf, 2000),
+        (np.exp, -math.inf, 1.0, 2000),
+        (lambda x: np.exp(-(x**2)), -math.inf, math.inf, 2000),
+        (lambda x: np.abs(np.sin(1.0 / np.maximum(x, 1e-300))), 0.0, 1.0, 8),
+    ],
+    ids=["finite", "a-over-t", "a-minus-log-t", "lower-infinite", "doubly-infinite", "budget"],
+)
+def test_quadrature_calls_f_on_whole_panels(fn, a, b, max_intervals):
+    f = _Recorder(fn)
+    try:
+        res = integrate_adaptive(f, a, b, abs_tol=1e-13, rel_tol=1e-13, max_intervals=max_intervals)
+        evaluations = res.evaluations
+    except ConvergenceError as exc:
+        evaluations = exc.evaluations
+    assert f.shapes
+    assert all(len(s) == 1 and s[0] > 0 and s[0] % 15 == 0 for s in f.shapes)
+    assert sum(s[0] for s in f.shapes) == evaluations
+
+
+@pytest.mark.parametrize("max_intervals", [1, 2, 3, 8, 50])
+def test_quadrature_budget_is_never_overshot(max_intervals):
+    with pytest.raises(ConvergenceError) as info:
+        integrate_adaptive(
+            lambda x: np.abs(np.sin(1.0 / np.maximum(x, 1e-300))),
+            0.0,
+            1.0,
+            abs_tol=1e-13,
+            rel_tol=1e-13,
+            max_intervals=max_intervals,
+        )
+    # Every bisection adds one panel, and a pass bisects at most as many
+    # panels as the cap leaves room for: at most 2 * max_intervals - 1
+    # panels are ever evaluated.
+    assert info.value.evaluations <= 15 * (2 * max_intervals - 1)
+
+
+def test_mellin_check_evaluates_expansion_in_few_calls(normalized60_report):
+    rep = normalized60_report
+    assert rep.m_t == 197
+    j = _Recorder(expansion_fn(rep.c, rep.m_t))
+    mellin_of_reconstruction(j, 0)
+    # One call per refinement pass; bisecting one panel per call took about 10.
+    assert len(j.shapes) <= 6
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_quadrature_infinite_panels_end_in_convergence_error():
+    # Once the halves hold -inf and +inf apart, their sum is inf - inf:
+    # the run must still end in ConvergenceError, not in fsum's ValueError.
+    with pytest.raises(ConvergenceError):
+        integrate_adaptive(lambda x: np.where(x < 0.5, -np.inf, np.inf), 0.0, 1.0, max_intervals=4)
