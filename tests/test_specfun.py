@@ -406,7 +406,7 @@ def test_mellin_check_evaluates_expansion_in_few_calls(normalized60_report):
     assert rep.m_t == 197
     j = _Recorder(expansion_fn(rep.c, rep.m_t))
     mellin_of_reconstruction(j, 0)
-    # One call per refinement pass; bisecting one panel per call took about 10.
+    # One call per refinement pass, each on every panel it bisects.
     assert len(j.shapes) <= 6
 
 
