@@ -313,6 +313,13 @@ def test_reconstruct_jump_trivial_cases():
         reconstruct_jump(np.ones(3), 5, xs)
 
 
+def test_default_grid_bytes_match_sorted_unique():
+    # Every report's xs and samples CSV are read on this grid, so it must
+    # stay the same array byte for byte, whatever builds it.
+    xs = np.concatenate([np.geomspace(1e-2, 50.0, 1500), np.linspace(0.5, 3.0, 500)])
+    assert default_grid().tobytes() == np.unique(xs).tobytes()
+
+
 # ------------------------------------------------------------------- errors
 
 
