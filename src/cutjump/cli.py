@@ -15,7 +15,13 @@ coefficients or energies fall outside the double range; 2 failed positivity
 under ``--expect-positive``.  JSON reports never contain NaN or Infinity.
 Sweep cells run in a process pool capped by the CUTJUMP_THREADS environment
 variable; per-cell failures land in the output rows and only an all-cell
-failure makes the exit code nonzero.
+failure makes the exit code nonzero.  Before it starts the pool, ``sweep``
+imports ``numpy.random`` (when any cell is noisy) and builds the rotated
+integer rows for the largest N at the run's depth, so that workers forked
+from it (the fork start method, the Linux default through Python 3.13)
+inherit both instead of each paying for them on its first cell.  Under
+spawn or forkserver the results are the same, only not warmed.  The pool
+module itself is imported only by ``sweep``.
 """
 
 from __future__ import annotations
@@ -27,11 +33,10 @@ import math
 import os
 import sys
 import typing
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from . import corpus, moments, reconstruct, thermal
+from . import corpus, moments, reconstruct, specfun, thermal
 from .errors import ConfigError, CutjumpError, InputError
 
 SCHEMA_VERSION = 2
@@ -386,6 +391,15 @@ def cmd_sweep(sweep: SweepConfig) -> int:
     if workers == 1:
         rows = [_sweep_cell(c) for c in cells]
     else:
+        from concurrent.futures import ProcessPoolExecutor
+
+        # Set-up that every worker would otherwise repeat, done once here.
+        # Under the fork start method (the Linux default through Python
+        # 3.13) the workers inherit it; under spawn or forkserver they redo
+        # it, with the same results.
+        if any(c.epsilon > 0.0 for _, c in cells):
+            import numpy.random  # noqa: F401  (add_noise's generator)
+        specfun.rotated_int_rows(base.n_max, max(sweep.ns) + 1)
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_cell, cells))
     rows.sort(key=lambda r: (r["N"], r["epsilon"], r["repeat"]))

@@ -15,8 +15,9 @@ long recurrence more than its point count, is then called once per pass,
 not once per panel.
 
 All functions here are pure.  The one piece of shared state is the cache of
-``rotated_int_seq``, which only ever appends exact integers under a lock, so
-every caller, in any thread, sees the same values whatever ran before it.
+``rotated_int_seq`` and ``rotated_int_rows``, which only ever appends exact
+integers under a lock, so every caller, in any thread, sees the same values
+whatever ran before it.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ __all__ = [
     "ln_gamma_complex",
     "mp_real_seq",
     "mp_weight",
+    "rotated_int_rows",
     "rotated_int_seq",
 ]
 
@@ -228,15 +230,29 @@ def rotated_int_seq(n_max: int, k: int) -> list[int]:
     if k < 0:
         raise ValueError("k must be >= 0")
     with _ROTATED_LOCK:
-        while len(_ROTATED_ROWS) <= k:
-            _ROTATED_ROWS.append([1, -(2 * len(_ROTATED_ROWS) + 1)])
-        row = _ROTATED_ROWS[k]
-        a = 2 * k + 1
-        for n in range(len(row) - 1, n_max):
-            q, r = divmod(-a * row[n] + n * row[n - 1], n + 1)
-            assert r == 0, "the rotated recurrence must divide exactly"
-            row.append(q)
-        return row[: n_max + 1]
+        return _rotated_row(n_max, k)
+
+
+def rotated_int_rows(n_max: int, count: int) -> list[list[int]]:
+    """``rotated_int_seq(n_max, k)`` for k = 0..count-1, under one lock."""
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0")
+    with _ROTATED_LOCK:
+        return [_rotated_row(n_max, k) for k in range(count)]
+
+
+def _rotated_row(n_max: int, k: int) -> list[int]:
+    """A copy of cached row k, first extended to n_max; the caller holds
+    ``_ROTATED_LOCK``."""
+    while len(_ROTATED_ROWS) <= k:
+        _ROTATED_ROWS.append([1, -(2 * len(_ROTATED_ROWS) + 1)])
+    row = _ROTATED_ROWS[k]
+    a = 2 * k + 1
+    for n in range(len(row) - 1, n_max):
+        q, r = divmod(-a * row[n] + n * row[n - 1], n + 1)
+        assert r == 0, "the rotated recurrence must divide exactly"
+        row.append(q)
+    return row[: n_max + 1]
 
 
 # --------------------------------------------------------------------------

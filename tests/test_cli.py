@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from cutjump import cli
+from cutjump import cli, specfun
 from cutjump.errors import ConfigError
 
 
@@ -545,6 +545,27 @@ def test_sweep_parallel_matches_serial(tmp_path, monkeypatch):
     assert a == b
 
 
+@pytest.mark.parametrize("epsilons", ["1e-5", "0"], ids=["noisy", "noise_free"])
+def test_sweep_pool_warms_rows_for_the_largest_cell(tmp_path, monkeypatch, epsilons):
+    # The pool path builds the rotated rows before the fork, once, for the
+    # largest N at the run's depth; the serial path builds none up front.
+    # Either way the CSV is byte-identical.
+    calls = []
+    build = specfun.rotated_int_rows
+    monkeypatch.setattr(specfun, "rotated_int_rows", lambda *a: calls.append(a) or build(*a))
+    args = ["sweep", "--problem", "normalized_rational", "--n-list", "25,10", "--epsilons", epsilons,
+            "--repeats", "2", "--n-max", "50"]  # fmt: skip
+    monkeypatch.setenv("CUTJUMP_THREADS", "1")
+    assert run_cli(args + ["--out", str(tmp_path / "serial")]) == cli.EXIT_OK
+    assert calls == []
+    monkeypatch.setenv("CUTJUMP_THREADS", "4")
+    assert run_cli(args + ["--out", str(tmp_path / "par")]) == cli.EXIT_OK
+    assert calls == [(50, 26)]
+    a = (tmp_path / "serial" / "normalized_rational_sweep.csv").read_bytes()
+    b = (tmp_path / "par" / "normalized_rational_sweep.csv").read_bytes()
+    assert a == b
+
+
 def test_sweep_bad_threads_env(tmp_path, monkeypatch):
     monkeypatch.setenv("CUTJUMP_THREADS", "zero")
     code = run_cli(
@@ -581,16 +602,59 @@ def test_sweep_validate_bounds_the_run_count():
 # ------------------------------------------------------------ entry points
 
 
+def _fresh_python(*args: str) -> subprocess.CompletedProcess:
+    """Run a new interpreter that imports cutjump from this checkout."""
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=60
+    )
+
+
 def test_module_entry_starts_without_warning():
     # The package must not import cli itself, or runpy warns that
     # cutjump.cli is already in sys.modules.
-    src = str(Path(cli.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run(
-        [sys.executable, "-W", "error", "-m", "cutjump.cli", "--help"],
-        env=env, capture_output=True, text=True, timeout=60,
-    )  # fmt: skip
+    proc = _fresh_python("-W", "error", "-m", "cutjump.cli", "--help")
     assert proc.returncode == 0, proc.stderr
+
+
+# Each of these modules costs 12-17 ms to import on a 2-vCPU VM, paid again
+# by every fresh process: every CLI command and every sweep worker.
+_COLD_MODULES = ("concurrent.futures.process", "numpy.ma", "numpy.random")
+
+
+def _cold_modules_loaded(code: str) -> list[str]:
+    """Which of ``_COLD_MODULES`` a fresh interpreter holds after ``code``
+    (read from the last line of its stdout)."""
+    probe = f"import sys\n{code}\nprint(*[m for m in {_COLD_MODULES!r} if m in sys.modules])"
+    proc = _fresh_python("-c", probe)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1].split()
+
+
+def test_cli_import_leaves_the_process_pool_unimported():
+    assert "concurrent.futures.process" not in _cold_modules_loaded("import cutjump.cli")
+
+
+def test_noise_free_report_imports_neither_numpy_ma_nor_numpy_random():
+    code = (
+        "from cutjump import corpus, reconstruct\n"
+        "spec = corpus.builtin('normalized_rational')\n"
+        "reconstruct.build_report(corpus.coefficients(spec, 20), n_max=50, truth=spec.jump)"
+    )
+    assert _cold_modules_loaded(code) == []
+
+
+@pytest.mark.parametrize("epsilons,expected", [("0", []), ("1e-5", ["numpy.random"])])
+def test_pool_sweep_imports_numpy_random_only_for_noise(tmp_path, epsilons, expected):
+    # The pool path imports numpy.random before the fork only when a cell is
+    # noisy; the noise-free sweep's parent never needs it.
+    argv = ["sweep", "--problem", "normalized_rational", "--n-list", "10", "--epsilons", epsilons,
+            "--repeats", "2", "--n-max", "20", "--out", str(tmp_path)]  # fmt: skip
+    code = f"import os\nos.environ['CUTJUMP_THREADS'] = '2'\nfrom cutjump import cli\ncli.main({argv!r})"
+    loaded = _cold_modules_loaded(code)
+    assert [m for m in loaded if m != "concurrent.futures.process"] == expected
+    assert (tmp_path / "normalized_rational_sweep.csv").is_file()
 
 
 # ------------------------------------------------------------ determinism

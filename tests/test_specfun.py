@@ -17,6 +17,7 @@ from cutjump.specfun import (
     ln_gamma_complex,
     mp_real_seq,
     mp_weight,
+    rotated_int_rows,
     rotated_int_seq,
     rotated_seq_raw,
 )
@@ -220,6 +221,14 @@ def test_rotated_int_seq_rows_extend_and_stay_private():
         rotated_int_seq(-1, 0)
     with pytest.raises(ValueError):
         rotated_int_seq(3, -1)
+
+
+def test_rotated_int_rows_are_the_single_rows():
+    rows = rotated_int_rows(40, 13)
+    assert rows == [rotated_int_seq(40, k) for k in range(13)]
+    assert rotated_int_rows(7, 0) == []
+    with pytest.raises(ValueError):
+        rotated_int_rows(-1, 3)
 
 
 def test_rotated_int_seq_is_thread_safe():
