@@ -393,10 +393,8 @@ def cmd_sweep(sweep: SweepConfig) -> int:
     else:
         from concurrent.futures import ProcessPoolExecutor
 
-        # Set-up that every worker would otherwise repeat, done once here.
-        # Under the fork start method (the Linux default through Python
-        # 3.13) the workers inherit it; under spawn or forkserver they redo
-        # it, with the same results.
+        # Set-up that every worker would otherwise redo on its first cell,
+        # done once here for forked workers to inherit (module docstring).
         if any(c.epsilon > 0.0 for _, c in cells):
             import numpy.random  # noqa: F401  (add_noise's generator)
         specfun.rotated_int_rows(base.n_max, max(sweep.ns) + 1)
