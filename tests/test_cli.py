@@ -618,8 +618,8 @@ def test_module_entry_starts_without_warning():
     assert proc.returncode == 0, proc.stderr
 
 
-# Each of these modules costs 12-17 ms to import on a 2-vCPU VM, paid again
-# by every fresh process: every CLI command and every sweep worker.
+# Each of these modules took 12-30 ms to import on a 2-vCPU VM, paid again
+# by every fresh process that imports it: a CLI command, a sweep worker.
 _COLD_MODULES = ("concurrent.futures.process", "numpy.ma", "numpy.random")
 
 
