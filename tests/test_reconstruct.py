@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 import random
 from fractions import Fraction
@@ -9,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
-from cutjump import corpus, reconstruct
+from cutjump import corpus, reconstruct, thermal
 from cutjump.errors import ConfigError, DomainError, InputError
 from cutjump.reconstruct import (
     PlateauPolicy,
@@ -427,6 +429,69 @@ def test_integral_checks_of_reconstruction_match_recorded(pid, n):
     assert z.imag == 0.0
     out = density_check(j)
     assert (out.integral_of_j_over_x, out.min_value) == pytest.approx(density, rel=1e-12)
+
+
+# Exact outputs of the noise-free benchmark configs at n_max = 200, per config:
+# m_t, the sha256 of the report's strict JSON, and the float.hex of Mellin
+# k = 0, 1, 2, cauchy_check(j, 0.5) (real, imaginary) and the two density_check
+# fields (None for the thermal report, which runs no checks).
+EXACT_GATE = {
+    ("normalized_rational", 20): (34, "9441ddaa8d0e12edfa1ccf466b9e2297a6eb2ec0d25a1f11754e5b57be1f6e19", (
+        "0x1.fecd517674164p-1", "0x1.fe9d6ec8a39a0p-2", "0x1.32d335d02962cp-2", "0x1.5c9799a661d0ap+0",
+        "0x0.0p+0", "0x1.fecd517674164p-1", "0x1.1e5ee45163da6p-9")),
+    ("normalized_rational", 60): (197, "c2bfc3fd121b5fa12e2c9b4be7e088b62f00aafe302d646f098c7e3c6fd0d5ef", (
+        "0x1.ffc60f6d37ab5p-1", "0x1.ff9cd1afe66b0p-2", "0x1.32e118c75a460p-2", "0x1.5d1c4906ec022p+0",
+        "0x0.0p+0", "0x1.ffc60f6d37ab5p-1", "0x1.3223de7f6b30cp-9")),
+    ("normalized_rational", 120): (197, "8fd8131ea79a96cfe39b4f7193deda5b4e9d4f9858aff6caf00e7f1be4b76e3a", (
+        "0x1.ffc60f6d377ebp-1", "0x1.ff9cd1afe60eep-2", "0x1.32e118c759e79p-2", "0x1.5d1c4906ebd45p+0",
+        "0x0.0p+0", "0x1.ffc60f6d377ebp-1", "0x1.3223de7f67891p-9")),
+    ("harmonic", 20): (33, "a01df5c25a12aa0f3e5df646acc1e668c74536cd984f18a2b5a4242aa27323db", (
+        "0x1.ec44a8da1e629p-1", "0x1.d87604d00f304p-2", "0x1.2e1c0ad4e424cp-2", "0x1.4f4b862b78d48p+0",
+        "0x0.0p+0", "0x1.ec44a8da1e629p-1", "0x1.4a201b2ffe5eep-6")),
+    ("harmonic", 60): (197, "8898da4e7fc25b59f15ee43c11b6fa5002798a74a7d7a8f05fb8b251502ace5e", (
+        "0x1.f77e378c8a452p-1", "0x1.eef6a95bfcf86p-2", "0x1.444e2c106abddp-2", "0x1.5a636b0d151f6p+0",
+        "0x0.0p+0", "0x1.f77e378c8a452p-1", "0x1.498245b5b3cbdp-6")),
+    ("harmonic", 120): (197, "459f958b80f9229df4136466d62978a8b8cf726800d6313bdcd59736d6a9148e", (
+        "0x1.f77e378c8861fp-1", "0x1.eef6a95bf9139p-2", "0x1.444e2c1066bfbp-2", "0x1.5a636b0d132fbp+0",
+        "0x0.0p+0", "0x1.f77e378c88620p-1", "0x1.498245b5aeda1p-6")),
+    ("rational_unnormalized", 20): (34, "919228c4235292d00a6d8c7565a15c8a689184f0ab1812f66bff41fb121fc971", (
+        "0x1.5488e0f9a28a7p-3", "0x1.5468f485c21d9p-4", "0x1.99199d158c1f4p-5", "0x1.d0ca22332ccd4p-3",
+        "0x0.0p+0", "0x1.5488e0f9a28a7p-3", "0x1.7dd3db1723be0p-12")),
+    ("rational_unnormalized", 60): (197, "45552b7d06134ccae034947a65e206b65dbc75af870b1eb8c7432a164049b050", (
+        "0x1.5540e7193acefp-3", "0x1.553af2ef8b85bp-4", "0x1.9981dc58bd50cp-5", "0x1.d1a287a5ff34ap-3",
+        "0x0.0p+0", "0x1.5540e7193acefp-3", "0x1.94afec7c2d14ep-12")),
+    ("rational_unnormalized", 120): (197, "def83ab3fba8c63d7f01136369eda01d76391be0a9f3a0e69fb98222c83a3abc", (
+        "0x1.5540e7193ab13p-3", "0x1.553af2ef8b485p-4", "0x1.9981dc58bcd2ep-5", "0x1.d1a287a5fef79p-3",
+        "0x0.0p+0", "0x1.5540e7193ab13p-3", "0x1.94afec7c28353p-12")),
+    ("thermal_boson_demo", 60): (197, "2bf0ac597ffeaa24cd6061e5fe882358b8593b12488dae1e1baf84ceaae4c14e", None),
+}
+
+
+def _exact_outputs(pid, n):
+    spec = corpus.builtin(pid)
+    if pid == "thermal_boson_demo":
+        rep = thermal.build_thermal_report(thermal.thermal_problem(spec, n), n_max=200)
+        checks = None
+    else:
+        rep = reconstruct.build_report(corpus.coefficients(spec, n), n_max=200, truth=spec.jump)
+        j = expansion_fn(rep.c, rep.m_t)
+        mellin = [mellin_of_reconstruction(j, k) for k in (0, 1, 2)]
+        z = cauchy_check(j, 0.5)
+        d = density_check(j)
+        checks = tuple(v.hex() for v in (*mellin, z.real, z.imag, d.integral_of_j_over_x, d.min_value))
+    digest = hashlib.sha256(json.dumps(rep.to_dict(), allow_nan=False).encode()).hexdigest()
+    return rep.m_t, digest, checks
+
+
+def test_benchmark_configs_reproduce_exactly_in_any_order():
+    # By descending m_t first, so later configs resum on fewer basis rows than
+    # earlier ones at the same abscissae; then in a fixed shuffled order.
+    by_depth = sorted(EXACT_GATE, key=lambda cfg: -EXACT_GATE[cfg][0])
+    shuffled = list(EXACT_GATE)
+    random.Random(15).shuffle(shuffled)
+    for order in (by_depth, shuffled):
+        for cfg in order:
+            assert _exact_outputs(*cfg) == EXACT_GATE[cfg], cfg
 
 
 # -------------------------------------------------------- truncation choice
