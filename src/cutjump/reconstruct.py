@@ -15,12 +15,25 @@ phase i^n; their product is real, equal to (-1)^n times the rotated real
 recurrence output.  That (-1)^n is folded into the stored c_n, so every
 reported coefficient and sample is a plain float and the reconstruction is
 simply sum_n c_n * basis_phi(n, x).
+
+Shared state: besides ``specfun``'s exact rotated rows, one process-wide
+cache (``_basis``) holds read-only basis matrices, keyed by the builder and
+the shape and bytes of the abscissa array.  Every report resums on the same
+fixed grid, and the integral checks' quadrature nodes fall on one dyadic
+lattice in t = 1/x, so most requests repeat an earlier array.  A request for
+fewer rows reads a row prefix of the stored matrix: each row of the Laguerre
+recurrence depends only on the rows before it, so the prefix holds the
+values a fresh build would, and every result is bit-identical to an
+uncached run whatever ran before it.  The public ``phi_matrix`` and
+``thermal.psi_matrix`` stay uncached.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -339,12 +352,50 @@ def phi_matrix(n_max: int, xs) -> np.ndarray:
     """Basis magnitudes phi_n(x) = sqrt(2) L_n(2/x) e^{-1/x} / x, all n <= n_max.
 
     Shape (n_max + 1, len(xs)).  The i^n phase of the analytic basis is the
-    one already folded into the synthesized coefficients.
+    one already folded into the synthesized coefficients.  The scaling runs
+    in place: the same IEEE operations on each element as
+    ``sqrt(2) * L / xs``, without a temporary matrix.
     """
     xs = np.asarray(xs, dtype=float)
     if np.any(xs <= 0.0):
         raise DomainError("basis arguments must satisfy x > 0")
-    return math.sqrt(2.0) * laguerre_scaled_seq(n_max, 2.0 / xs) / xs
+    rows = laguerre_scaled_seq(n_max, 2.0 / xs)
+    rows *= math.sqrt(2.0)
+    rows /= xs
+    return rows
+
+
+# Basis matrices by (builder, shape and bytes of the abscissae), least
+# recently used first; see ``_basis``.
+BASIS_CACHE_BYTES = 16 * 2**20
+_BASIS: OrderedDict[tuple, np.ndarray] = OrderedDict()
+_BASIS_LOCK = threading.Lock()
+
+
+def _basis(build: Callable, n: int, xs) -> np.ndarray:
+    """Rows 0..n of ``build(n, xs)``, read-only, from the process-wide cache.
+
+    A stored matrix with more rows serves its row prefix, a C-contiguous
+    view of the shape and values of a fresh build, so ``head @ view`` is the
+    same BLAS call on the same values.  One with too few rows is rebuilt at
+    n and replaced; rows only grow.  The stored matrices keep within
+    ``BASIS_CACHE_BYTES``, the least recently used going first; a larger
+    one is returned without being stored.
+    """
+    xs = np.asarray(xs, dtype=float)
+    key = (build, xs.shape, xs.tobytes())
+    with _BASIS_LOCK:
+        if key in _BASIS and _BASIS[key].shape[0] > n:
+            _BASIS.move_to_end(key)
+            return _BASIS[key][: n + 1]
+        _BASIS.pop(key, None)  # dropped before the rebuild, not held beside it
+        rows = build(n, xs)
+        rows.flags.writeable = False
+        if rows.nbytes <= BASIS_CACHE_BYTES:
+            _BASIS[key] = rows
+            while sum(a.nbytes for a in _BASIS.values()) > BASIS_CACHE_BYTES:
+                _BASIS.popitem(last=False)
+        return rows
 
 
 def _single_basis(matrix: Callable, n: int, x) -> float | np.ndarray:
@@ -384,7 +435,7 @@ def _head(c: np.ndarray, m_t: int) -> np.ndarray:
 
 def reconstruct_jump(c: np.ndarray, m_t: int, xs) -> np.ndarray:
     """Truncated expansion sum_{n<=m_t} c_n phi_n(x) on the grid ``xs``."""
-    return _head(c, m_t) @ phi_matrix(m_t, xs)
+    return _head(c, m_t) @ _basis(phi_matrix, m_t, xs)
 
 
 def expansion_fn(c: np.ndarray, m_t: int) -> Callable[[np.ndarray], np.ndarray]:
@@ -392,7 +443,7 @@ def expansion_fn(c: np.ndarray, m_t: int) -> Callable[[np.ndarray], np.ndarray]:
     head = _head(c, m_t)
 
     def j(x):
-        return head @ phi_matrix(m_t, np.atleast_1d(np.asarray(x, dtype=float)))
+        return head @ _basis(phi_matrix, m_t, np.atleast_1d(x))
 
     return j
 

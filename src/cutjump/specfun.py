@@ -14,10 +14,14 @@ the integrand.  An integrand such as a truncated expansion, whose cost is a
 long recurrence more than its point count, is then called once per pass,
 not once per panel.
 
-All functions here are pure.  The one piece of shared state is the cache of
-``rotated_int_seq`` and ``rotated_int_rows``, which only ever appends exact
-integers under a lock, so every caller, in any thread, sees the same values
-whatever ran before it.
+All functions here are pure.  The one piece of shared state here is the
+cache of ``rotated_int_seq`` and ``rotated_int_rows``, which only ever
+appends exact integers under a lock, so every caller, in any thread, sees
+the same values whatever ran before it.  The package's second piece is
+``reconstruct``'s cache of basis matrices (rows of ``laguerre_scaled_seq``,
+scaled), keyed by builder and abscissa bytes; it serves row prefixes of
+arrays that a fresh build would fill with the same values, so it too
+leaves every result bit-identical.
 """
 
 from __future__ import annotations

@@ -28,6 +28,7 @@ from .reconstruct import (
     ErrorReport,
     PlateauPolicy,
     SynthesisResult,
+    _basis,
     _head,
     _report_dict,
     _run_pipeline,
@@ -87,6 +88,13 @@ def synthesize_thermal(problem: ThermalProblem, n_max: int = DEFAULT_N_MAX) -> S
     return synthesize_raw(problem.coefficients.values, n_max)
 
 
+def _thermal_rows(n_max: int, vs: np.ndarray) -> np.ndarray:
+    """sqrt(2) L_n(2 e^{-v}) e^{-e^{-v}} for all n <= n_max, scaled in place."""
+    rows = laguerre_scaled_seq(n_max, 2.0 * np.exp(-vs))
+    rows *= math.sqrt(2.0)
+    return rows
+
+
 def psi_matrix(n_max: int, vs) -> np.ndarray:
     """Basis magnitudes sqrt(2) L_n(2 e^{-v}) e^{-e^{-v}} e^{-v/2}, all n <= n_max.
 
@@ -94,8 +102,9 @@ def psi_matrix(n_max: int, vs) -> np.ndarray:
     x = e^v.  Valid for every real v.
     """
     vs = np.asarray(vs, dtype=float)
-    t = 2.0 * np.exp(-vs)
-    return math.sqrt(2.0) * laguerre_scaled_seq(n_max, t) * np.exp(-vs / 2.0)
+    rows = _thermal_rows(n_max, vs)
+    rows *= np.exp(-vs / 2.0)
+    return rows
 
 
 def basis_psi_big(n: int, v) -> float | np.ndarray:
@@ -115,9 +124,7 @@ def reconstruct_thermal(frak_c: np.ndarray, m_t: int, vs) -> np.ndarray:
     implementation sums sqrt(2) c_n L_n(2 e^{-v}) e^{-e^{-v}} directly and
     stays finite for arbitrarily large v.
     """
-    head = _head(frak_c, m_t)
-    t = 2.0 * np.exp(-np.asarray(vs, dtype=float))
-    return head @ (math.sqrt(2.0) * laguerre_scaled_seq(m_t, t))
+    return _head(frak_c, m_t) @ _basis(_thermal_rows, m_t, vs)
 
 
 def weighted_l2_error(vs: np.ndarray, j_rec: np.ndarray, truth) -> ErrorReport:

@@ -2,6 +2,9 @@ import hashlib
 import json
 import math
 import random
+import sys
+import threading
+from collections import OrderedDict
 from fractions import Fraction
 
 import mpmath
@@ -28,7 +31,7 @@ from cutjump.reconstruct import (
     reconstruct_jump,
     synthesize_coefficients,
 )
-from cutjump.specfun import integrate_adaptive
+from cutjump.specfun import integrate_adaptive, laguerre_scaled_seq
 
 
 # ---------------------------------------------------------------- synthesis
@@ -320,6 +323,131 @@ def test_default_grid_bytes_match_sorted_unique():
     # stay the same array byte for byte, whatever builds it.
     xs = np.concatenate([np.geomspace(1e-2, 50.0, 1500), np.linspace(0.5, 3.0, 500)])
     assert default_grid().tobytes() == np.unique(xs).tobytes()
+
+
+def test_basis_scaling_in_place_is_bit_identical():
+    xs = np.geomspace(1e-2, 50.0, 301)
+    vs = np.linspace(-3.0, 15.0, 257)
+    lag_x = laguerre_scaled_seq(120, 2.0 / xs)
+    lag_v = laguerre_scaled_seq(120, 2.0 * np.exp(-vs))
+    assert phi_matrix(120, xs).tobytes() == (math.sqrt(2.0) * lag_x / xs).tobytes()
+    assert thermal.psi_matrix(120, vs).tobytes() == (math.sqrt(2.0) * lag_v * np.exp(-vs / 2.0)).tobytes()
+
+
+# -------------------------------------------------------------- basis cache
+
+
+@pytest.fixture
+def fresh_basis(monkeypatch):
+    """An empty basis cache for one test; the shared one is left as it was."""
+    monkeypatch.setattr(reconstruct, "_BASIS", OrderedDict())
+    return reconstruct._BASIS
+
+
+def test_integral_checks_build_the_basis_at_most_six_times(fresh_basis, monkeypatch, normalized60_report):
+    # The five checks' quadrature nodes lie on one dyadic lattice in t = 1/x,
+    # so most passes meet an abscissa array that an earlier check built.
+    calls = []
+
+    def counted(n, x):
+        calls.append(n)
+        return laguerre_scaled_seq(n, x)
+
+    monkeypatch.setattr(reconstruct, "laguerre_scaled_seq", counted)
+    j = expansion_fn(normalized60_report.c, normalized60_report.m_t)
+    for k in (0, 1, 2):
+        mellin_of_reconstruction(j, k)
+    cauchy_check(j, 0.5)
+    density_check(j)
+    assert 1 <= len(calls) <= 6
+
+
+def test_reconstruct_jump_reads_row_prefixes_bit_for_bit(fresh_basis):
+    rng = np.random.Generator(np.random.PCG64(5))
+    c = rng.uniform(-1.0, 1.0, 130)
+    xs = np.geomspace(0.05, 40.0, 517)
+
+    def fresh(m):
+        return reconstruct._head(c, m) @ phi_matrix(m, xs)
+
+    for m in (90, 17, 90, 0, 129, 90, 17):
+        assert reconstruct_jump(c, m, xs).tobytes() == fresh(m).tobytes(), m
+    (stored,) = fresh_basis.values()
+    assert stored.shape == (130, xs.size)
+
+
+def test_cached_basis_is_read_only_and_phi_matrix_stays_fresh(fresh_basis):
+    xs = np.linspace(0.5, 3.0, 40)
+    cached = reconstruct._basis(phi_matrix, 12, xs)
+    prefix = reconstruct._basis(phi_matrix, 5, xs)
+    for view in (cached, prefix):
+        assert not view.flags.writeable
+        with pytest.raises(ValueError):
+            view[0, 0] = 1.0
+    assert prefix.flags.c_contiguous and np.shares_memory(prefix, cached)
+    own = phi_matrix(12, xs)
+    assert own.flags.writeable and not np.shares_memory(own, cached)
+    own[0, 0] = 7.0
+    assert reconstruct._basis(phi_matrix, 12, xs).tobytes() == phi_matrix(12, xs).tobytes()
+
+
+def test_basis_cache_keeps_within_its_byte_budget(fresh_basis, monkeypatch):
+    grids = [np.linspace(1.0, 2.0, 100 + i) for i in range(4)]
+    budget = 3 * 21 * 103 * 8  # room for three 21-row matrices, not four
+    monkeypatch.setattr(reconstruct, "BASIS_CACHE_BYTES", budget)
+    for i in (0, 1, 2, 0, 3):
+        reconstruct._basis(phi_matrix, 20, grids[i])
+        assert sum(a.nbytes for a in fresh_basis.values()) <= budget
+    # The least recently used (the second grid; the first was read again) went.
+    assert [key[1] for key in fresh_basis] == [(102,), (100,), (103,)]
+    big = reconstruct._basis(phi_matrix, 400, grids[2])
+    assert big.tobytes() == phi_matrix(400, grids[2]).tobytes()
+    assert big.nbytes > budget
+    assert [key[1] for key in fresh_basis] == [(100,), (103,)]
+
+
+def test_basis_cache_is_thread_safe(fresh_basis, monkeypatch):
+    # Eight threads (more than the cores) grow, read and evict the same
+    # entries in different orders at once, under a budget that holds about
+    # half of them; every result must equal the uncached one.
+    rng = np.random.Generator(np.random.PCG64(11))
+    c = rng.uniform(-1.0, 1.0, 61)
+    grids = [np.geomspace(0.1, 30.0, 200 + 15 * i) for i in range(3)]
+    vs = np.linspace(0.0, 15.0, 180)
+    depths = [3, 60, 11, 40, 25, 60, 7, 52]
+    want = {(m, i): reconstruct._head(c, m) @ phi_matrix(m, xs) for m in depths for i, xs in enumerate(grids)}
+    want_v = {m: reconstruct._head(c, m) @ thermal._thermal_rows(m, vs) for m in depths}
+    budget = 2 * 61 * 245 * 8
+    monkeypatch.setattr(reconstruct, "BASIS_CACHE_BYTES", budget)
+    barrier = threading.Barrier(8, timeout=60)
+    errors = []
+
+    def work(shift):
+        try:
+            for r in range(12):
+                barrier.wait()
+                for m in depths[shift:] + depths[:shift]:
+                    for i, xs in enumerate(grids):
+                        got = expansion_fn(c, m)(xs) if (r + i) % 2 else reconstruct_jump(c, m, xs)
+                        assert got.tobytes() == want[m, i].tobytes()
+                    assert thermal.reconstruct_thermal(c, m, vs).tobytes() == want_v[m].tobytes()
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+            barrier.abort()  # the other threads stop at once instead of timing out
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert 0 < sum(a.nbytes for a in fresh_basis.values()) <= budget
 
 
 # ------------------------------------------------------------------- errors
