@@ -143,6 +143,47 @@ def test_synthesis_rejects_bad_input():
         synthesize_coefficients(np.ones(3), n_max=-1)
 
 
+# --------------------------------------------------------- exact sums gate
+
+# Doubles from the subnormals to near the top of the range, of both signs,
+# so the common denominator 2^s and the weights take extreme sizes.
+EXTREME_VALUES = [5e-324, -1.5e300, 2.0**-1074 * 3, 1.0, -7.25e-310, 2.0**1000, -0.1, 1e-300, 3.0]
+# Recorded from ``_exact_sums`` before synthesis changed algorithm: per
+# source, the sha256 of the lines "N,epsilon,n_max:D:S_0,...,S_{n_max}" (in
+# hex) for N in SUMS_GATE_NS, epsilon in (0, 1e-6) with seed 5 and n_max in
+# SUMS_GATE_DEPTHS; "extreme" takes leading slices of EXTREME_VALUES.
+SUMS_GATE_NS = (1, 2, 20, 60, 120)
+SUMS_GATE_DEPTHS = (0, 1, 200, 800)
+SUMS_GATE = {
+    "harmonic": "8a75eaf6a4066df89b86fce41c7262d786c3370dd54e06f16780a75f357d2232",
+    "normalized_rational": "ae59aec705dc85e6002c3e5ff5677a9345494c5464199ff321c57c48e35b1500",
+    "rational_unnormalized": "06cc02c395891180821dc37c86c11d49092b853093025a9ad1112ad5744eada4",
+    "thermal_boson_demo": "e9950c0b74397197981cc41b2f1d46e0809d22a78eb7abb55729d367a6b2f528",
+    "extreme": "be5d55e23c82126efd7704ed02ab92d2d66fa7191a750e67174cc8eae78537cf",
+}
+
+
+def _sums_gate_panel(source):
+    if source == "extreme":
+        for n in range(1, len(EXTREME_VALUES) + 1):
+            yield f"{n},0", np.array(EXTREME_VALUES[:n])
+        return
+    spec = corpus.builtin(source)
+    for n in SUMS_GATE_NS:
+        for eps in (0.0, 1e-6):
+            yield f"{n},{eps!r}", corpus.coefficients(spec, n, epsilon=eps, seed=5).values
+
+
+@pytest.mark.parametrize("source", sorted(SUMS_GATE))
+def test_exact_sums_match_the_recorded_digests(source):
+    h = hashlib.sha256()
+    for label, values in _sums_gate_panel(source):
+        for n_max in SUMS_GATE_DEPTHS:
+            sums, d = reconstruct._exact_sums(values, n_max)
+            h.update(f"{label},{n_max}:{d:x}:{','.join(f'{s:x}' for s in sums)}\n".encode())
+    assert h.hexdigest() == SUMS_GATE[source]
+
+
 # ----------------------------------------------------- exact final rounding
 
 
