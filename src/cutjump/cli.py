@@ -16,12 +16,12 @@ under ``--expect-positive``.  JSON reports never contain NaN or Infinity.
 Sweep cells run in a process pool capped by the CUTJUMP_THREADS environment
 variable; per-cell failures land in the output rows and only an all-cell
 failure makes the exit code nonzero.  Before it starts the pool, ``sweep``
-imports ``numpy.random`` (when any cell is noisy) and builds the rotated
-integer rows for the largest N at the run's depth, so that workers forked
+imports ``numpy.random`` when any cell is noisy, so that workers forked
 from it (the fork start method, the Linux default through Python 3.13)
-inherit both instead of each paying for them on its first cell.  Under
-spawn or forkserver the results are the same, only not warmed.  The pool
-module itself is imported only by ``sweep``.
+inherit the module instead of each importing it on its first cell; that
+import is the only set-up warmed before the fork.  Under spawn or
+forkserver the results are the same, only not warmed.  The pool module
+itself is imported only by ``sweep``.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from . import corpus, moments, reconstruct, specfun, thermal
+from . import corpus, moments, reconstruct, thermal
 from .errors import ConfigError, CutjumpError, InputError
 
 SCHEMA_VERSION = 2
@@ -393,11 +393,11 @@ def cmd_sweep(sweep: SweepConfig) -> int:
     else:
         from concurrent.futures import ProcessPoolExecutor
 
-        # Set-up that every worker would otherwise redo on its first cell,
-        # done once here for forked workers to inherit (module docstring).
+        # An import that every noisy worker would otherwise pay for on its
+        # first cell, done once here for forked workers to inherit (module
+        # docstring).
         if any(c.epsilon > 0.0 for _, c in cells):
             import numpy.random  # noqa: F401  (add_noise's generator)
-        specfun.rotated_int_rows(base.n_max, max(sweep.ns) + 1)
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_cell, cells))
     rows.sort(key=lambda r: (r["N"], r["epsilon"], r["repeat"]))

@@ -1,31 +1,39 @@
 """Jump-function reconstruction from power-series coefficients.
 
 Pipeline: synthesize expansion coefficients c_n from the series data in
-exact integer arithmetic (the alternating sum over k cancels far beyond
-double precision; every double is a dyadic rational and the rotated
-polynomial values are integers, so the sum is exact and each c_n is rounded
-once), locate the plateau of the partial energies M_m, truncate there, and
-resum the Laguerre-type basis on a sample grid.  The thermal variant runs
-the same pipeline core (``_run_pipeline``) with its own grid, resummation
-and error metric.  Independent integral checks (Mellin, Cauchy, probability
-density) let callers validate a reconstruction without knowing the truth.
+exact integer arithmetic, locate the plateau of the partial energies M_m,
+truncate there, and resum the Laguerre-type basis on a sample grid.  The
+thermal variant runs the same pipeline core (``_run_pipeline``) with its
+own grid, resummation and error metric.  Independent integral checks
+(Mellin, Cauchy, probability density) let callers validate a
+reconstruction without knowing the truth.
+
+Synthesis: c_n is sqrt(2) times an alternating sum over k of g_k q_n^(k)/k!,
+with q_n^(k) the rotated Meixner-Pollaczek values at lambda = 1/2.  The sum
+cancels far beyond double precision, so it is formed exactly: every double
+is a dyadic rational and the q_n^(k) are integers, so the sums are integers
+over one common denominator, and each c_n is rounded once.  The q_n^(k) are
+never tabulated.  Their generating function, sum_n q_n^(k) t^n =
+(1 - t)^k / (1 + t)^{k+1} (Koekoek, Lesky and Swarttouw 2010, sec. 9.7),
+turns the whole sum over k into one Horner scheme in u = (1 - t)/(1 + t)
+whose steps are passes of big-integer additions (``_exact_sums``).
 
 Sign convention: the expansion coefficients and basis functions each carry a
 phase i^n; their product is real, equal to (-1)^n times the rotated real
-recurrence output.  That (-1)^n is folded into the stored c_n, so every
-reported coefficient and sample is a plain float and the reconstruction is
-simply sum_n c_n * basis_phi(n, x).
+sum.  That (-1)^n is folded into the stored c_n, so every reported
+coefficient and sample is a plain float and the reconstruction is simply
+sum_n c_n phi_n(x), with phi_n the rows of ``phi_matrix``.
 
-Shared state: besides ``specfun``'s exact rotated rows, one process-wide
-cache (``_basis``) holds read-only basis matrices, keyed by the builder and
-the shape and bytes of the abscissa array.  Every report resums on the same
-fixed grid, and the integral checks' quadrature nodes fall on one dyadic
-lattice in t = 1/x, so most requests repeat an earlier array.  A request for
-fewer rows reads a row prefix of the stored matrix: each row of the Laguerre
-recurrence depends only on the rows before it, so the prefix holds the
-values a fresh build would, and every result is bit-identical to an
-uncached run whatever ran before it.  The public ``phi_matrix`` and
-``thermal.psi_matrix`` stay uncached.
+Shared state: one process-wide cache (``_basis``), the package's only one,
+holds read-only basis matrices, keyed by the builder and the shape and bytes
+of the abscissa array.  Every report resums on the same fixed grid, and the
+integral checks' quadrature nodes fall on one dyadic lattice in t = 1/x, so
+most requests repeat an earlier array.  A request for fewer rows reads a row
+prefix of the stored matrix: each row of the Laguerre recurrence depends
+only on the rows before it, so the prefix holds the values a fresh build
+would, and every result is bit-identical to an uncached run whatever ran
+before it.  The public ``phi_matrix`` and ``thermal.psi_matrix`` stay
+uncached.
 """
 
 from __future__ import annotations
@@ -35,6 +43,7 @@ import operator
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
+from itertools import accumulate, chain
 from typing import Callable, Sequence
 
 import numpy as np
@@ -42,7 +51,7 @@ from mpmath import mp
 
 from .corpus import CoefficientSet, JumpGroundTruth
 from .errors import ConfigError, DomainError, InputError
-from .specfun import integrate_adaptive, laguerre_scaled_seq, rotated_int_rows
+from .specfun import integrate_adaptive, laguerre_scaled_seq
 
 __all__ = [
     "ErrorReport",
@@ -50,7 +59,6 @@ __all__ = [
     "PlateauResult",
     "ReconstructionReport",
     "SynthesisResult",
-    "basis_phi",
     "build_report",
     "cauchy_check",
     "default_grid",
@@ -95,8 +103,15 @@ def _exact_sums(values: np.ndarray, n_max: int) -> tuple[list[int], int]:
 
     Every double is a dyadic rational, so with 2^s the largest denominator
     among the v_k and K = len(values), D = (K-1)! 2^s clears every
-    denominator and S_n = sum_k (-1)^k ((K-1)!/k!) (v_k 2^s) q_n^{(k)} is an
-    exact integer dot product with the rows of ``rotated_int_rows``.
+    denominator, and S_n = sum_k w_k q_n^{(k)} with the integer weights
+    w_k = (-1)^k ((K-1)!/k!) (v_k 2^s).  The generating function of the
+    rotated values, sum_n q_n^{(k)} t^n = (1 - t)^k / (1 + t)^{k+1}, makes
+    the S_n the Taylor coefficients of sum_k w_k u^k / (1 + t), with
+    u = (1 - t)/(1 + t).  Horner's scheme in u builds that series from
+    k = K-1 down, truncated at t^{n_max} (each step is lower-triangular in
+    t, so the truncation is exact), on the alternated coefficients
+    (-1)^n a_n: there, multiplying by 1 - t adds each coefficient's
+    predecessor and dividing by 1 + t is a prefix sum, so no step multiplies.
     """
     ratios = [float(v).as_integer_ratio() for v in values]
     shift = max(den.bit_length() - 1 for _, den in ratios)
@@ -107,8 +122,13 @@ def _exact_sums(values: np.ndarray, n_max: int) -> tuple[list[int], int]:
         w = fact * num * ((1 << shift) // den)
         weights[k] = -w if k % 2 else w
         fact *= max(k, 1)
-    rows = rotated_int_rows(n_max, len(ratios))
-    return [sum(map(operator.mul, weights, col)) for col in zip(*rows)], fact << shift
+    acc = [0] * (n_max + 1)
+    for w in reversed(weights):
+        acc = list(accumulate(map(operator.add, acc, chain((0,), acc))))
+        acc[0] += w
+    sums = list(accumulate(acc))
+    sums[1::2] = [-s for s in sums[1::2]]
+    return sums, fact << shift
 
 
 def _sqrt_ratio(m: int, d: int) -> float:
@@ -167,7 +187,7 @@ def synthesize_coefficients(g: CoefficientSet | np.ndarray, n_max: int = DEFAULT
     """Expansion coefficients c_0..c_{n_max} from series coefficients.
 
     c_n = (-1)^n sqrt(2) sum_{k=0}^{N} (-1)^k g_k q_n^{(k)} / k!, the real
-    number such that the reconstruction is sum c_n basis_phi(n, x).
+    number such that the reconstruction is sum c_n phi_n(x) (see ``phi_matrix``).
     """
     values = g.values if isinstance(g, CoefficientSet) else np.asarray(g, dtype=float)
     return synthesize_raw(values, n_max)
@@ -193,27 +213,20 @@ def partial_energies(c: np.ndarray) -> np.ndarray:
 class PlateauPolicy:
     """Parameters of the truncation-point search.
 
-    heuristic mode: flag runs of relative energy growth below ``theta``
-    lasting at least ``w_min`` steps; truncate half a window inside the end
-    of the longest run.  known_energy mode: truncate at the last m with
-    M_m <= known_K.  ``theta`` must stay below ``DIVERGENCE_GROWTH``, or a
-    flat step would also count as divergence.
+    Runs of relative energy growth below ``theta`` lasting at least
+    ``w_min`` steps count as flat; ``detect_plateau`` truncates half a
+    window inside the end of the longest one.  ``theta`` must stay below
+    ``DIVERGENCE_GROWTH``, or a flat step would also count as divergence.
     """
 
-    mode: str = "heuristic"
     theta: float = 1e-3
     w_min: int = 5
-    known_K: float | None = None
 
     def __post_init__(self):
-        if self.mode not in ("heuristic", "known_energy"):
-            raise ConfigError(f"mode: unknown plateau mode {self.mode!r}")
         if not 0.0 < self.theta < DIVERGENCE_GROWTH:
             raise ConfigError(f"theta: must be > 0 and < {DIVERGENCE_GROWTH}")
         if self.w_min < 2:
             raise ConfigError("w_min: must be >= 2")
-        if self.mode == "known_energy" and (self.known_K is None or self.known_K <= 0.0):
-            raise ConfigError("known_K: known_energy mode needs a positive energy")
 
 
 @dataclass(frozen=True)
@@ -279,7 +292,7 @@ def _band(M: np.ndarray, m_t: int) -> tuple[int, int]:
 def detect_plateau(M: Sequence[float], policy: PlateauPolicy | None = None) -> PlateauResult:
     """Locate the plateau of the partial energies and pick a truncation index.
 
-    Heuristic mode anchors on the longest run of relative growth
+    The search anchors on the longest run of relative growth
     (M_{m+1}-M_m)/max(M_m, GROWTH_FLOOR) <= theta with length >= w_min (ties
     broken toward the later run) and truncates w_min//2 + 1 steps inside its
     end, where the expansion is most converged but not yet edge-contaminated.
@@ -303,13 +316,6 @@ def detect_plateau(M: Sequence[float], policy: PlateauPolicy | None = None) -> P
         return PlateauResult((0, 0), 0, False, False, None, float(M[0]), 0.0)
     if np.any(np.diff(M) < 0.0):
         raise InputError("partial energies must be nondecreasing")
-
-    if policy.mode == "known_energy":
-        below = np.nonzero(M <= policy.known_K)[0]
-        if below.size == 0:
-            return PlateauResult(_band(M, 0), 0, False, False, None, float(M[0]), 0.0)
-        m_t = int(below[-1])
-        return PlateauResult(_band(M, m_t), m_t, True, False, None, float(M[m_t]), 0.0)
 
     growth = np.diff(M) / np.maximum(M[:-1], GROWTH_FLOOR)
     # Indices at or beyond the first divergence jump are off limits: once a
@@ -396,19 +402,6 @@ def _basis(build: Callable, n: int, xs) -> np.ndarray:
             while sum(a.nbytes for a in _BASIS.values()) > BASIS_CACHE_BYTES:
                 _BASIS.popitem(last=False)
         return rows
-
-
-def _single_basis(matrix: Callable, n: int, x) -> float | np.ndarray:
-    """Row n of ``matrix(n, x)``; a float for scalar ``x``."""
-    if n < 0:
-        raise InputError("basis index must be >= 0")
-    out = matrix(n, np.atleast_1d(np.asarray(x, dtype=float)))[n]
-    return float(out[0]) if np.isscalar(x) else out
-
-
-def basis_phi(n: int, x) -> float | np.ndarray:
-    """Single basis magnitude phi_n(x); see ``phi_matrix``."""
-    return _single_basis(phi_matrix, n, x)
 
 
 def default_grid() -> np.ndarray:

@@ -1,11 +1,10 @@
 """Special functions and numerical primitives.
 
-Complex log-gamma (Lanczos), Laguerre and Meixner-Pollaczek polynomial
-sequences, the rotated real-valued Meixner-Pollaczek recurrence used by the
-coefficient synthesis (in exact integers; its extended-precision form, as
-raw mpmath floats, serves as a reference), and adaptive Gauss-Kronrod
-quadrature.  Synthesis is exact, so there is no extended-precision scalar
-type.
+Complex log-gamma (Lanczos), the damped Laguerre and the real-argument
+Meixner-Pollaczek polynomial sequences, and adaptive Gauss-Kronrod
+quadrature.  The rotated Meixner-Pollaczek values that turn series
+coefficients into expansion coefficients never appear one by one:
+``reconstruct`` sums them exactly through their generating function.
 
 The quadrature refines in batched passes, the idiom of QUADPACK's adaptive
 Gauss-Kronrod as vectorised in ``scipy.integrate.quad_vec``: each pass
@@ -14,25 +13,20 @@ the integrand.  An integrand such as a truncated expansion, whose cost is a
 long recurrence more than its point count, is then called once per pass,
 not once per panel.
 
-All functions here are pure.  The one piece of shared state here is the
-cache of ``rotated_int_seq`` and ``rotated_int_rows``, which only ever
-appends exact integers under a lock, so every caller, in any thread, sees
-the same values whatever ran before it.  The package's second piece is
-``reconstruct``'s cache of basis matrices (rows of ``laguerre_scaled_seq``,
-scaled), keyed by builder and abscissa bytes; it serves row prefixes of
-arrays that a fresh build would fill with the same values, so it too
-leaves every result bit-identical.
+All functions here are pure, and the module holds no shared state.  The
+package's only cache is ``reconstruct``'s store of basis matrices (rows of
+``laguerre_scaled_seq``, scaled), keyed by builder and abscissa bytes; it
+serves row prefixes of arrays that a fresh build would fill with the same
+values, so it leaves every result bit-identical.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from mpmath import mp
 
 from .errors import ConfigError, ConvergenceError, DomainError
 
@@ -40,15 +34,10 @@ __all__ = [
     "QuadratureResult",
     "integrate_adaptive",
     "laguerre_scaled_seq",
-    "laguerre_seq",
     "ln_gamma_complex",
     "mp_real_seq",
     "mp_weight",
-    "rotated_int_rows",
-    "rotated_int_seq",
 ]
-
-MIN_PRECISION_BITS = 64
 
 # Lanczos rational approximation, g = 7, 9 terms.  Relative error below
 # 1e-14 on Re z >= 0.5; the reflection step keeps the left half-plane at
@@ -129,31 +118,15 @@ def mp_weight(nu: float) -> float:
     return math.exp(2.0 * lg.real) / math.pi
 
 
-def laguerre_seq(n_max: int, x) -> np.ndarray:
-    """Laguerre polynomials L_0(x) .. L_{n_max}(x) by the three-term recurrence.
-
-    (n+1) L_{n+1} = (2n + 1 - x) L_n - n L_{n-1},  L_0 = 1,  L_1 = 1 - x.
-
-    ``x`` may be a scalar or an array; the result has shape
-    ``(n_max + 1,) + shape(x)``.
-    """
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
-    x = np.asarray(x, dtype=float)
-    out = np.empty((n_max + 1,) + x.shape)
-    out[0] = 1.0
-    if n_max >= 1:
-        out[1] = 1.0 - x
-    for n in range(1, n_max):
-        out[n + 1] = ((2 * n + 1 - x) * out[n] - n * out[n - 1]) / (n + 1)
-    return out
-
-
 def laguerre_scaled_seq(n_max: int, x) -> np.ndarray:
     """exp(-x/2) L_n(x) for n = 0 .. n_max, evaluated stably.
 
-    The damping factor is folded into the recurrence seed, so large ``x``
-    underflows gracefully to zero instead of overflowing the polynomial part.
+    The Laguerre three-term recurrence
+    (n+1) L_{n+1} = (2n + 1 - x) L_n - n L_{n-1},  L_0 = 1,  L_1 = 1 - x,
+    with the damping factor folded into its seed, so large ``x`` underflows
+    gracefully to zero instead of overflowing the polynomial part.  ``x``
+    may be a scalar or an array; the result has shape
+    ``(n_max + 1,) + shape(x)``.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
@@ -184,79 +157,6 @@ def mp_real_seq(n_max: int, nu) -> np.ndarray:
     for n in range(1, n_max):
         out[n + 1] = (2.0 * nu * out[n] - n * out[n - 1]) / (n + 1)
     return out
-
-
-def rotated_seq_raw(n_max: int, k: int, precision: int) -> list:
-    """q_n = i^{-n} P_n(-i(k + 1/2)) as raw mpmath floats at ``precision`` bits.
-
-    Substituting y = -i(k + 1/2) into the Meixner-Pollaczek recurrence and
-    rotating by i^{-n} gives a purely real recurrence:
-
-        q_0 = 1,  q_1 = -(2k + 1),
-        (n+1) q_{n+1} = -(2k + 1) q_n + n q_{n-1}.
-
-    The original complex value is recovered as P_n = i^n q_n.
-    """
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    if precision < MIN_PRECISION_BITS:
-        raise ConfigError(f"precision: {precision} bits is below the {MIN_PRECISION_BITS}-bit minimum")
-    with mp.workprec(precision):
-        a = mp.mpf(2 * k + 1)
-        qs = [mp.mpf(1)]
-        if n_max >= 1:
-            qs.append(-a)
-        for n in range(1, n_max):
-            qs.append((-a * qs[n] + n * qs[n - 1]) / (n + 1))
-    return qs
-
-
-# Row k caches q_0^(k), q_1^(k), ... of ``rotated_int_seq``.  Rows only grow,
-# so a row built for a larger n_max serves every smaller one.
-_ROTATED_ROWS: list[list[int]] = []
-_ROTATED_LOCK = threading.Lock()
-
-
-def rotated_int_seq(n_max: int, k: int) -> list[int]:
-    """q_n = i^{-n} P_n(-i(k + 1/2)) for n <= n_max, as exact integers.
-
-    These are integers: q_n = sum_j C(n, j) C(k + j, j) (-2)^j, the 2F1 form
-    of the Meixner-Pollaczek polynomials at lambda = 1/2 (Koekoek, Lesky and
-    Swarttouw 2010, sec. 9.7).  They are computed by the recurrence of
-    ``rotated_seq_raw`` in integer arithmetic, where the division by n + 1
-    is exact.  Rows are built on first use and extended when a larger
-    ``n_max`` is asked for; nothing is built at import.
-    """
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    with _ROTATED_LOCK:
-        return _rotated_row(n_max, k)
-
-
-def rotated_int_rows(n_max: int, count: int) -> list[list[int]]:
-    """``rotated_int_seq(n_max, k)`` for k = 0..count-1, under one lock."""
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
-    with _ROTATED_LOCK:
-        return [_rotated_row(n_max, k) for k in range(count)]
-
-
-def _rotated_row(n_max: int, k: int) -> list[int]:
-    """A copy of cached row k, first extended to n_max; the caller holds
-    ``_ROTATED_LOCK``."""
-    while len(_ROTATED_ROWS) <= k:
-        _ROTATED_ROWS.append([1, -(2 * len(_ROTATED_ROWS) + 1)])
-    row = _ROTATED_ROWS[k]
-    a = 2 * k + 1
-    for n in range(len(row) - 1, n_max):
-        q, r = divmod(-a * row[n] + n * row[n - 1], n + 1)
-        assert r == 0, "the rotated recurrence must divide exactly"
-        row.append(q)
-    return row[: n_max + 1]
 
 
 # --------------------------------------------------------------------------

@@ -10,8 +10,8 @@ weight e^{-v}, and the period is fixed at 2*pi by the standard rescaling of
 the imaginary-time variable, so a problem carries no period field (general
 periods are a relabeling left to callers).
 
-The negative-frequency branch is the mirror image v -> -v of this one and is
-exposed only as a reflection wrapper.
+The negative-frequency branch is the mirror image v -> -v of this one, so
+it needs no pipeline of its own.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from .reconstruct import (
     _head,
     _report_dict,
     _run_pipeline,
-    _single_basis,
     _trapezoid_l2,
     synthesize_raw,
 )
@@ -41,11 +40,9 @@ from .specfun import laguerre_scaled_seq, ln_gamma_complex, mp_real_seq
 __all__ = [
     "ThermalProblem",
     "ThermalReport",
-    "basis_psi_big",
     "build_thermal_report",
     "default_v_grid",
     "gtilde_line_expansion",
-    "negative_branch",
     "psi_matrix",
     "reconstruct_thermal",
     "synthesize_line_coefficients",
@@ -107,11 +104,6 @@ def psi_matrix(n_max: int, vs) -> np.ndarray:
     return rows
 
 
-def basis_psi_big(n: int, v) -> float | np.ndarray:
-    """Single basis magnitude; see ``psi_matrix``."""
-    return _single_basis(psi_matrix, n, v)
-
-
 def default_v_grid() -> np.ndarray:
     """The thermal sample grid: ``V_POINTS`` equispaced points on [0, V_MAX]."""
     return np.linspace(0.0, V_MAX, V_POINTS)
@@ -159,17 +151,6 @@ def gtilde_line_expansion(d_hat: np.ndarray, m_t: int, nus) -> np.ndarray:
     series = (head * phases) @ P
     gamma_vals = np.array([np.exp(ln_gamma_complex(complex(0.5, nu))) for nu in nus])
     return gamma_vals * series / math.sqrt(math.pi)
-
-
-def negative_branch(vs: np.ndarray, j_rec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Mirror a positive-branch reconstruction onto the negative-frequency one.
-
-    The negative branch is the verbatim reflection v -> -v of the positive
-    one, so no separate pipeline exists.
-    """
-    vs = np.asarray(vs, dtype=float)
-    order = np.argsort(-vs)
-    return -vs[order], np.asarray(j_rec, dtype=float)[order]
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from cutjump import cli, specfun
+from cutjump import cli
 from cutjump.errors import ConfigError
 
 
@@ -540,27 +540,6 @@ def test_sweep_parallel_matches_serial(tmp_path, monkeypatch):
     assert run_cli(args + ["--out", str(tmp_path / "serial")]) == cli.EXIT_OK
     monkeypatch.setenv("CUTJUMP_THREADS", "4")
     assert run_cli(args + ["--out", str(tmp_path / "par")]) == cli.EXIT_OK
-    a = (tmp_path / "serial" / "normalized_rational_sweep.csv").read_bytes()
-    b = (tmp_path / "par" / "normalized_rational_sweep.csv").read_bytes()
-    assert a == b
-
-
-@pytest.mark.parametrize("epsilons", ["1e-5", "0"], ids=["noisy", "noise_free"])
-def test_sweep_pool_warms_rows_for_the_largest_cell(tmp_path, monkeypatch, epsilons):
-    # The pool path builds the rotated rows before the fork, once, for the
-    # largest N at the run's depth; the serial path builds none up front.
-    # Either way the CSV is byte-identical.
-    calls = []
-    build = specfun.rotated_int_rows
-    monkeypatch.setattr(specfun, "rotated_int_rows", lambda *a: calls.append(a) or build(*a))
-    args = ["sweep", "--problem", "normalized_rational", "--n-list", "25,10", "--epsilons", epsilons,
-            "--repeats", "2", "--n-max", "50"]  # fmt: skip
-    monkeypatch.setenv("CUTJUMP_THREADS", "1")
-    assert run_cli(args + ["--out", str(tmp_path / "serial")]) == cli.EXIT_OK
-    assert calls == []
-    monkeypatch.setenv("CUTJUMP_THREADS", "4")
-    assert run_cli(args + ["--out", str(tmp_path / "par")]) == cli.EXIT_OK
-    assert calls == [(50, 26)]
     a = (tmp_path / "serial" / "normalized_rational_sweep.csv").read_bytes()
     b = (tmp_path / "par" / "normalized_rational_sweep.csv").read_bytes()
     assert a == b

@@ -18,7 +18,6 @@ from cutjump import corpus, reconstruct, thermal
 from cutjump.errors import ConfigError, DomainError, InputError
 from cutjump.reconstruct import (
     PlateauPolicy,
-    basis_phi,
     cauchy_check,
     default_grid,
     density_check,
@@ -32,6 +31,7 @@ from cutjump.reconstruct import (
     synthesize_coefficients,
 )
 from cutjump.specfun import integrate_adaptive, laguerre_scaled_seq
+from rotated import rotated_closed_form
 
 
 # ---------------------------------------------------------------- synthesis
@@ -184,6 +184,25 @@ def test_exact_sums_match_the_recorded_digests(source):
     assert h.hexdigest() == SUMS_GATE[source]
 
 
+@given(
+    st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=40),
+    st.integers(0, 60),
+)
+@settings(max_examples=60, deadline=None)
+def test_exact_sums_equal_the_closed_form_sums(values, n_max):
+    # S_n / D = sum_k (-1)^k v_k q_n^(k) / k! in exact rationals, with q from
+    # the 2F1 closed form: every double is dyadic, from the subnormals to the
+    # top of the range.
+    sums, d = reconstruct._exact_sums(np.array(values), n_max)
+    assert len(sums) == n_max + 1
+    for n, s in enumerate(sums):
+        want = sum(
+            Fraction((-1) ** k * rotated_closed_form(n, k), math.factorial(k)) * Fraction(v)
+            for k, v in enumerate(values)
+        )
+        assert Fraction(s, d) == want
+
+
 # ----------------------------------------------------- exact final rounding
 
 
@@ -298,15 +317,6 @@ def test_detect_plateau_no_run_flags_low_confidence():
     assert 0 <= det.m_t < 30
 
 
-def test_detect_plateau_known_energy_mode():
-    M = np.array([0.5, 0.9, 1.19, 1.21, 5.0])
-    det = detect_plateau(M, PlateauPolicy(mode="known_energy", known_K=1.2))
-    assert det.m_t == 2
-    M_all_above = np.array([2.0, 3.0])
-    det2 = detect_plateau(M_all_above, PlateauPolicy(mode="known_energy", known_K=1.2))
-    assert det2.m_t == 0 and not det2.confident
-
-
 def test_detect_plateau_validates_input():
     with pytest.raises(InputError):
         detect_plateau(np.array([2.0, 1.0]))  # decreasing
@@ -316,17 +326,16 @@ def test_detect_plateau_validates_input():
         PlateauPolicy(theta=0.5)  # a flat step would also count as divergence
     with pytest.raises(ConfigError):
         PlateauPolicy(w_min=1)
-    with pytest.raises(ConfigError):
-        PlateauPolicy(mode="known_energy")  # missing K
 
 
 def test_known_energy_cross_validates_heuristic(noisy7_report):
     # With the true energy constant, the literal definition of the cutoff
-    # must land inside the heuristically detected plateau band.
+    # (the last m with M_m <= ||J||^2) must land inside the heuristically
+    # detected plateau band.
     spec = corpus.builtin("normalized_rational")
-    det = detect_plateau(noisy7_report.M, PlateauPolicy(mode="known_energy", known_K=spec.jump_norm_sq))
+    m_literal = np.flatnonzero(noisy7_report.M <= spec.jump_norm_sq)[-1]
     a, b = noisy7_report.plateau
-    assert a <= det.m_t <= b
+    assert a <= m_literal <= b
 
 
 # -------------------------------------------------------------------- basis
@@ -334,12 +343,12 @@ def test_known_energy_cross_validates_heuristic(noisy7_report):
 
 def test_basis_phi_values_and_domain():
     with pytest.raises(DomainError):
-        basis_phi(0, 0.0)
+        phi_matrix(0, [0.0])
     with pytest.raises(DomainError):
-        basis_phi(1, -2.0)
+        phi_matrix(1, [3.0, -2.0])
     # n = 0 tail: phi_0(x) ~ sqrt2 / x for large x
     x = 1e8
-    assert basis_phi(0, x) * x == pytest.approx(math.sqrt(2.0), rel=1e-7)
+    assert phi_matrix(0, [x])[0, 0] * x == pytest.approx(math.sqrt(2.0), rel=1e-7)
 
 
 def test_basis_phi_normalized():

@@ -1,6 +1,4 @@
 import math
-import sys
-import threading
 
 import mpmath
 import numpy as np
@@ -13,14 +11,11 @@ from cutjump.reconstruct import expansion_fn, mellin_of_reconstruction
 from cutjump.specfun import (
     integrate_adaptive,
     laguerre_scaled_seq,
-    laguerre_seq,
     ln_gamma_complex,
     mp_real_seq,
     mp_weight,
-    rotated_int_rows,
-    rotated_int_seq,
-    rotated_seq_raw,
 )
+from rotated import rotated_closed_form, rotated_int_seq, rotated_seq_raw
 
 
 # ---------------------------------------------------------------- log-gamma
@@ -91,8 +86,9 @@ def test_ln_gamma_exp_identity_negative_real_axis():
 
 
 def test_laguerre_trivial_values():
-    assert laguerre_seq(1, 0.0).tolist() == [1.0, 1.0]
-    assert laguerre_seq(1, 2.0).tolist() == [1.0, -1.0]
+    assert laguerre_scaled_seq(1, 0.0).tolist() == [1.0, 1.0]
+    e = math.exp(-1.0)
+    assert laguerre_scaled_seq(1, 2.0).tolist() == [e, -e]
 
 
 def _laguerre_explicit(n, x):
@@ -108,7 +104,7 @@ def _laguerre_explicit(n, x):
 
 def test_laguerre_recurrence_vs_explicit_coefficients():
     xs = np.arange(-10.0, 10.5, 1.0)
-    table = laguerre_seq(20, xs)
+    table = laguerre_scaled_seq(20, xs) * np.exp(xs / 2.0)
     for n in range(21):
         for i, x in enumerate(xs):
             ref = _laguerre_explicit(n, float(x))
@@ -117,14 +113,14 @@ def test_laguerre_recurrence_vs_explicit_coefficients():
 
 def test_laguerre_matches_scipy():
     xs = np.linspace(0.0, 30.0, 13)
-    table = laguerre_seq(25, xs)
-    ref = np.array([scipy.special.eval_laguerre(n, xs) for n in range(26)])
+    table = laguerre_scaled_seq(25, xs)
+    ref = np.array([scipy.special.eval_laguerre(n, xs) for n in range(26)]) * np.exp(-xs / 2.0)
     np.testing.assert_allclose(table, ref, rtol=1e-10, atol=1e-10)
 
 
 def test_laguerre_scaled_consistency_and_stability():
     xs = np.array([0.1, 1.0, 40.0, 400.0])
-    plain = laguerre_seq(10, xs) * np.exp(-xs / 2.0)
+    plain = np.array([[_laguerre_explicit(n, x) for x in xs] for n in range(11)]) * np.exp(-xs / 2.0)
     scaled = laguerre_scaled_seq(10, xs)
     np.testing.assert_allclose(scaled, plain, rtol=1e-10, atol=1e-280)
     # gigantic argument: plain recurrence would overflow, scaled must not
@@ -164,6 +160,7 @@ def test_mp_weight_values_and_evenness():
 
 
 # ------------------------------------------------------- rotated recurrence
+# The oracles of tests/rotated.py, which the synthesis tests rely on.
 
 
 def test_rotation_consistency_exact_all_k():
@@ -195,13 +192,8 @@ def test_rotation_consistency_exact_all_k():
 
 
 def test_rotated_int_seq_matches_closed_form():
-    # q_n^(k) = sum_j C(n, j) C(k + j, j) (-2)^j, the 2F1 form.
     for k in range(40):
-        closed = [
-            sum(math.comb(n, j) * math.comb(k + j, j) * (-2) ** j for j in range(n + 1))
-            for n in range(61)
-        ]
-        assert rotated_int_seq(60, k) == closed
+        assert rotated_int_seq(60, k) == [rotated_closed_form(n, k) for n in range(61)]
 
 
 def test_rotated_int_seq_matches_extended_precision_recurrence():
@@ -210,68 +202,10 @@ def test_rotated_int_seq_matches_extended_precision_recurrence():
         assert rotated_int_seq(80, k) == [int(q) for q in rotated_seq_raw(80, k, 256)]
 
 
-def test_rotated_int_seq_rows_extend_and_stay_private():
-    long_row = rotated_int_seq(90, 7)
-    assert rotated_int_seq(12, 7) == long_row[:13]
-    assert rotated_int_seq(130, 7)[:91] == long_row
-    row = rotated_int_seq(5, 2)
-    row[0] = 99  # a caller's copy; the cached row is untouched
-    assert rotated_int_seq(5, 2)[0] == 1
-    with pytest.raises(ValueError):
-        rotated_int_seq(-1, 0)
-    with pytest.raises(ValueError):
-        rotated_int_seq(3, -1)
-
-
-def test_rotated_int_rows_are_the_single_rows():
-    rows = rotated_int_rows(40, 13)
-    assert rows == [rotated_int_seq(40, k) for k in range(13)]
-    assert rotated_int_rows(7, 0) == []
-    with pytest.raises(ValueError):
-        rotated_int_rows(-1, 3)
-
-
-def test_rotated_int_seq_is_thread_safe():
-    # Eight threads (more than the cores) extend the same fresh rows in small
-    # steps at once; a lost or doubled append would shift every later entry.
-    ks = range(900, 960)
-    barrier = threading.Barrier(8, timeout=60)
-    errors = []
-
-    def work():
-        try:
-            for k in ks:
-                barrier.wait()
-                for n_max in range(2, 151, 5):
-                    rotated_int_seq(n_max, k)
-        except Exception as exc:  # reported by the assertion below
-            errors.append(exc)
-
-    old = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=work) for _ in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(old)
-    assert not any(t.is_alive() for t in threads)
-    assert errors == []
-    for k in ks:
-        assert rotated_int_seq(150, k) == [int(q) for q in rotated_seq_raw(150, k, 2048)]
-
-
 def test_rotated_seq_trivial_values():
     assert rotated_int_seq(1, 0) == [1, -1]  # i^{-1} P_1(-i/2) with P_1(y) = 2y
     for k in (1, 5, 11):
         assert rotated_int_seq(0, k) == [1]
-
-
-def test_rotated_seq_rejects_low_precision():
-    with pytest.raises(ConfigError):
-        rotated_seq_raw(4, 1, 32)
 
 
 # ------------------------------------------------------------- quadrature

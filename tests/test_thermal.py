@@ -8,9 +8,7 @@ from cutjump.errors import InputError
 from cutjump.specfun import integrate_adaptive
 from cutjump.thermal import (
     ThermalProblem,
-    basis_psi_big,
     gtilde_line_expansion,
-    negative_branch,
     psi_matrix,
     reconstruct_thermal,
     synthesize_line_coefficients,
@@ -80,7 +78,7 @@ def test_psi_relates_to_phi_through_exponential_map():
 def test_psi_tail_decay():
     # v -> +inf: Psi_0(v) ~ sqrt2 e^{-v/2}
     v = 40.0
-    assert basis_psi_big(0, v) == pytest.approx(math.sqrt(2.0) * math.exp(-v / 2.0), rel=1e-10)
+    assert psi_matrix(0, v)[0] == pytest.approx(math.sqrt(2.0) * math.exp(-v / 2.0), rel=1e-10)
 
 
 def test_psi_zero_normalized():
@@ -108,7 +106,7 @@ def test_reconstruct_thermal_matches_bruteforce_sum():
     fast = reconstruct_thermal(res.c, 25, vs)
     brute = np.zeros_like(vs)
     for n in range(26):
-        brute += res.c[n] * basis_psi_big(n, vs)
+        brute += res.c[n] * psi_matrix(n, vs)[n]
     brute *= np.exp(vs / 2.0)
     np.testing.assert_allclose(fast, brute, rtol=1e-10)
 
@@ -200,17 +198,3 @@ def test_line_coefficient_ratio_records_prefactor(thermal60_report):
     mask = np.abs(recon.c) > 1e-12
     ratios = line.c[mask] / (signs[mask] * recon.c[mask])
     np.testing.assert_allclose(ratios, math.sqrt(2.0 * math.pi), rtol=1e-12)
-
-
-# ------------------------------------------------------------ mirror branch
-
-
-def test_negative_branch_is_reflection():
-    vs = np.linspace(0.0, 4.0, 9)
-    j = np.sin(vs)
-    mv, mj = negative_branch(vs, j)
-    assert np.all(np.diff(mv) >= 0.0) or np.all(np.diff(mv) <= 0.0)
-    np.testing.assert_allclose(np.sort(-mv), np.sort(vs))
-    # values travel with their abscissae
-    for v, val in zip(mv, mj):
-        assert val == pytest.approx(math.sin(-v), rel=1e-12, abs=1e-12)
