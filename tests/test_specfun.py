@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import mpmath
@@ -58,6 +59,22 @@ def test_ln_gamma_half_plus_3i_vs_defining_integral():
     assert quad_sq == pytest.approx(math.pi / math.cosh(3.0 * math.pi), rel=1e-8)
     lg = ln_gamma_complex(complex(0.5, 3.0))
     assert math.exp(2.0 * lg.real) == pytest.approx(quad_sq, rel=1e-8)
+
+
+# The critical line Re z = 1/2 is where the package evaluates log-gamma.
+# Recorded on the code that preceded the Re z >= 1/2 domain: the sha256 of
+# the lines "<real.hex()>,<imag.hex()>" of ln_gamma_complex(1/2 + i nu) over
+# LINE_NUS.
+LINE_NUS = np.linspace(-100.0, 100.0, 401)
+LN_GAMMA_LINE_DIGEST = "d59db13fa0e4dc06f95ab952ea9246d5c19894b010155888c20b07ea705f1abc"
+
+
+def test_ln_gamma_on_the_critical_line_matches_the_recorded_digest():
+    h = hashlib.sha256()
+    for nu in LINE_NUS:
+        z = ln_gamma_complex(complex(0.5, nu))
+        h.update(f"{z.real.hex()},{z.imag.hex()}\n".encode())
+    assert h.hexdigest() == LN_GAMMA_LINE_DIGEST
 
 
 def test_ln_gamma_matches_mpmath_on_strip():

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -198,3 +199,19 @@ def test_line_coefficient_ratio_records_prefactor(thermal60_report):
     mask = np.abs(recon.c) > 1e-12
     ratios = line.c[mask] / (signs[mask] * recon.c[mask])
     np.testing.assert_allclose(ratios, math.sqrt(2.0 * math.pi), rtol=1e-12)
+
+
+# Recorded on the code that preceded the closed-form weight and the
+# Re z >= 1/2 log-gamma: the sha256 of the lines "<real.hex()>,<imag.hex()>"
+# of the demo's line expansion (N = 60, d_n at n_max = 200, the report's m_t)
+# on 401 equispaced nu in [-100, 100].
+LINE_EXPANSION_DIGEST = "951b1f2405dc0b5c42cc4c55a332e64e23accd410f31f10241b59e3b3e948f82"
+
+
+def test_line_expansion_matches_the_recorded_digest(thermal60_report):
+    line = synthesize_line_coefficients(_demo(60), n_max=200)
+    vals = gtilde_line_expansion(line.c, thermal60_report.m_t, np.linspace(-100.0, 100.0, 401))
+    h = hashlib.sha256()
+    for v in vals:
+        h.update(f"{float(v.real).hex()},{float(v.imag).hex()}\n".encode())
+    assert h.hexdigest() == LINE_EXPANSION_DIGEST
