@@ -115,8 +115,7 @@ GATE_POINTS = [
 ]  # fmt: skip
 # Recorded from the hand-written closed forms: per problem, the sha256 of the
 # lines "k,<coefficient_rule(k).hex()>,<exact_rule(k)>" for k = start_index..
-# cli.MAX_N_COEFFS, jump_norm_sq.hex(), continuous, gtilde_half_plane, and
-# g~ at GATE_POINTS.
+# cli.MAX_N_COEFFS, jump_norm_sq.hex(), continuous, and g~ at GATE_POINTS.
 _RATIONAL_GTILDE = [
     0.6857142857142857, 0.5, 0.24242424242424243, 0.06666666666666667,
     0.48405985686402087 - 0.3747560182173064j, 0.18135228654259797 + 0.3734779762461423j,
@@ -126,7 +125,7 @@ _RATIONAL_GTILDE = [
 ]  # fmt: skip
 CLOSED_FORM_GATE = {
     "harmonic": (
-        "0de766d340c7d450d403d9ec47a11a2deac86bef548b63c482afab24c2801582", "0x1.0000000000000p+0", False, -0.5,
+        "0de766d340c7d450d403d9ec47a11a2deac86bef548b63c482afab24c2801582", "0x1.0000000000000p+0", False,
         [
             0.6666666666666666, 0.5, 0.2857142857142857, 0.125,
             0.46153846153846156 - 0.3076923076923077j, 0.24778761061946902 + 0.2831858407079646j,
@@ -136,11 +135,11 @@ CLOSED_FORM_GATE = {
         ],
     ),
     "normalized_rational": (
-        "8e3f04479d9682b69b46965a0a8612b16748177d6dcda0651981c617323ae368", "0x1.3333333333333p+0", True, -0.5,
+        "8e3f04479d9682b69b46965a0a8612b16748177d6dcda0651981c617323ae368", "0x1.3333333333333p+0", True,
         _RATIONAL_GTILDE,
     ),
     "rational_unnormalized": (
-        "29fcf4b95fdfbded5ddfea6198b6de91c6dcd0d67c53716bf0e70cfc1eac3cc8", "0x1.1111111111111p-5", True, -0.5,
+        "29fcf4b95fdfbded5ddfea6198b6de91c6dcd0d67c53716bf0e70cfc1eac3cc8", "0x1.1111111111111p-5", True,
         [
             0.11428571428571428, 0.08333333333333333, 0.04040404040404041, 0.011111111111111112,
             0.08067664281067013 - 0.062459336369551074j, 0.030225381090432994 + 0.062246329374357055j,
@@ -150,7 +149,7 @@ CLOSED_FORM_GATE = {
         ],
     ),
     "thermal_boson_demo": (
-        "a5eefe84b8b05466e4f9e2d91da52537db42b1e4c6467abb2aa1986c762dfc4f", "0x1.5f15f15f15f16p-2", True, 0.5,
+        "a5eefe84b8b05466e4f9e2d91da52537db42b1e4c6467abb2aa1986c762dfc4f", "0x1.5f15f15f15f16p-2", True,
         _RATIONAL_GTILDE,
     ),
 }  # fmt: skip
@@ -158,7 +157,7 @@ CLOSED_FORM_GATE = {
 
 @pytest.mark.parametrize("problem_id", corpus.BUILTIN_IDS)
 def test_closed_forms_match_the_recorded_values(problem_id):
-    digest, norm_hex, continuous, half_plane, gtilde_values = CLOSED_FORM_GATE[problem_id]
+    digest, norm_hex, continuous, gtilde_values = CLOSED_FORM_GATE[problem_id]
     spec = corpus.builtin(problem_id)
     h = hashlib.sha256()
     for k in range(spec.start_index, cli.MAX_N_COEFFS + 1):
@@ -166,9 +165,8 @@ def test_closed_forms_match_the_recorded_values(problem_id):
     assert h.hexdigest() == digest
     assert spec.jump_norm_sq.hex() == norm_hex
     assert spec.continuous is continuous
-    assert spec.gtilde_half_plane == half_plane
     for lam, want in zip(GATE_POINTS, gtilde_values):
-        assert abs(corpus.gtilde_eval(spec, lam) - want) <= 1e-15 * abs(want)
+        assert abs(spec.gtilde(complex(lam)) - want) <= 1e-15 * abs(want)
     # the interpolant also takes arrays, as the Plancherel quadratures need
     np.testing.assert_allclose(spec.gtilde(np.array(GATE_POINTS)), gtilde_values, rtol=1e-15, atol=0)
 
