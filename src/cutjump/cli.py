@@ -14,14 +14,15 @@ Exit codes: 0 clean run; 1 usage/parse/IO/config error, or input whose
 coefficients or energies fall outside the double range; 2 failed positivity
 under ``--expect-positive``.  JSON reports never contain NaN or Infinity.
 Sweep cells run in a process pool capped by the CUTJUMP_THREADS environment
-variable; per-cell failures land in the output rows and only an all-cell
-failure makes the exit code nonzero.  Before it starts the pool, ``sweep``
-imports ``numpy.random`` when any cell is noisy, so that workers forked
-from it (the fork start method, the Linux default through Python 3.13)
-inherit the module instead of each importing it on its first cell; that
-import is the only set-up warmed before the fork.  Under spawn or
-forkserver the results are the same, only not warmed.  The pool module
-itself is imported only by ``sweep``.
+variable, else by the CPUs the process may run on; per-cell failures land
+in the output rows and only an all-cell failure makes the exit code
+nonzero.  Before it starts the pool, ``sweep`` imports ``numpy.random``
+when any cell is noisy, so that workers forked from it (the fork start
+method, the Linux default through Python 3.13) inherit the module instead
+of each importing it on its first cell; that import is the only set-up
+warmed before the fork.  Under spawn or forkserver the results are the
+same, only not warmed.  The pool module itself is imported only by
+``sweep``.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ EXIT_POSITIVITY = 2
 # N of an --input file) and on the depth n_max.  Synthesis costs grow with
 # N * n_max and the exact moments table faster than n_max^2; at both ceilings
 # a fresh `reconstruct` or `thermal` run took about 1 s and a `moments` run
-# about 5 s on a 2-vCPU VM.
+# 5-7 s on a 2-vCPU VM.
 MAX_N_COEFFS = 1000
 MAX_N_MAX = 800
 # Ceiling on a sweep's runs, len(n-list) * len(epsilons) * repeats, checked
@@ -239,13 +240,9 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_samples_csv(path: Path, var: str, xs, j_rec, j_true=None) -> None:
-    lines = [f"{var},J_rec" + (",J_true" if j_true is not None else "")]
-    for i, x in enumerate(xs):
-        row = f"{_fmt(float(x))},{_fmt(float(j_rec[i]))}"
-        if j_true is not None:
-            row += f",{_fmt(float(j_true[i]))}"
-        lines.append(row)
+def _write_samples_csv(path: Path, header: list[str], samples: list[list[float]]) -> None:
+    """The report's sample rows as CSV, each float in its shortest repr."""
+    lines = [",".join(header), *(",".join(map(repr, row)) for row in samples)]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -319,16 +316,17 @@ def cmd_run(command: str, config: RunConfig) -> int:
     if is_thermal:
         problem = thermal.ThermalProblem(coefficients=cs, truth=truth)
         report = thermal.build_thermal_report(problem, n_max=config.n_max, policy=config.policy())
-        kind, var, grid, errors, label = "thermal", "v", report.vs, report.weighted_errors, "l2w_rel"
+        kind, var, errors, label = "thermal", "v", report.weighted_errors, "l2w_rel"
     else:
         report = reconstruct.build_report(cs, n_max=config.n_max, policy=config.policy(), truth=truth)
-        kind, var, grid, errors, label = "reconstruction", "x", report.xs, report.errors, "l2_rel"
+        kind, var, errors, label = "reconstruction", "x", report.errors, "l2_rel"
     payload = _report_payload(kind, config, report.to_dict())
     stem = config.stem()
     if config.emit in ("json", "both"):
         _write_json(out_dir / f"{stem}_report.json", payload)
     if config.emit in ("csv", "both"):
-        _write_samples_csv(out_dir / f"{stem}_samples.csv", var, grid, report.j_rec, report.j_true)
+        header = [var, "J_rec"] + (["J_true"] if report.j_true is not None else [])
+        _write_samples_csv(out_dir / f"{stem}_samples.csv", header, payload["samples"])
     plateau = report.plateau if report.plateau is not None else "none"
     err = f", {label}={errors.l2_rel:.4f}" if errors and errors.l2_rel else ""
     print(f"{command}: plateau={plateau}, m_t={report.m_t}, confident={report.confident}{err}")
@@ -377,6 +375,8 @@ def _worker_count(n_cells: int) -> int:
             raise ConfigError("CUTJUMP_THREADS: must be an integer") from None
         if cap < 1:
             raise ConfigError("CUTJUMP_THREADS: must be >= 1")
+    elif hasattr(os, "sched_getaffinity"):
+        cap = len(os.sched_getaffinity(0))  # the CPUs this process may run on
     else:
         cap = os.cpu_count() or 1
     return max(1, min(cap, n_cells))

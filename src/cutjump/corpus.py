@@ -3,8 +3,8 @@
 Each built-in problem is defined by its interpolant
 g~(lambda) = scale / prod_i (lambda + a_i) and by the exact jump function
 the reconstruction should recover; only these two are written by hand.  The
-coefficients, their exact rationals, the half-plane, continuity and the norm
-of the jump are all derived from the interpolant.  The test suite re-derives
+coefficients, their exact rationals, continuity and the norm of the jump
+are all derived from the interpolant.  The test suite re-derives
 the jumps and norms by quadrature so a transcription slip cannot survive
 unnoticed.
 """
@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, InputError, ParseError
+from .errors import InputError, ParseError
 
 __all__ = [
     "BUILTIN_IDS",
@@ -29,7 +29,6 @@ __all__ = [
     "add_noise",
     "builtin",
     "coefficients",
-    "gtilde_eval",
     "load_coefficients",
     "load_thermal_coefficients",
     "save_coefficients",
@@ -88,12 +87,6 @@ class ProblemSpec:
         return Fraction(self.scale, math.prod(k + a for a in self.poles))
 
     @property
-    def gtilde_half_plane(self) -> float:
-        """``gtilde_eval`` takes Re(lambda) >= this; the boundary is the
-        critical line of the reconstruction space, where Plancherel holds."""
-        return self.start_index - 0.5
-
-    @property
     def continuous(self) -> bool:
         """Whether the jump vanishes at the end of the cut, which holds
         exactly when g~ decays faster than 1/lambda."""
@@ -101,9 +94,9 @@ class ProblemSpec:
 
     @property
     def jump_norm_sq(self) -> float:
-        """The squared reconstruction-space norm of the jump (L^2(1, inf) for
-        power problems, e^{-v}-weighted L^2(0, inf) for thermal ones); it
-        doubles as the known energy constant for plateau detection."""
+        """The squared reconstruction-space norm of the jump: L^2(1, inf) for
+        power problems, e^{-v}-weighted L^2(0, inf) for thermal ones.  By
+        Parseval it is the limit of the partial energies M_m."""
         residues = [
             Fraction(self.scale, math.prod(b - a for b in self.poles if b != a)) for a in self.poles
         ]
@@ -167,21 +160,6 @@ def builtin(problem_id: str) -> ProblemSpec:
         raise InputError(
             f"unknown problem id {problem_id!r}; known ids: {', '.join(BUILTIN_IDS)}"
         ) from None
-
-
-def gtilde_eval(spec: ProblemSpec, lam: complex) -> complex:
-    """Evaluate the problem's coefficient interpolant at a complex point.
-
-    Valid for Re(lambda) >= the problem's half-plane boundary; the
-    interpolant restricted to integers k >= start_index reproduces the
-    coefficients.
-    """
-    lam = complex(lam)
-    if lam.real < spec.gtilde_half_plane - 1e-12:
-        raise DomainError(
-            f"lambda = {lam} lies outside Re >= {spec.gtilde_half_plane} for {spec.id}"
-        )
-    return spec.gtilde(lam)
 
 
 @dataclass(frozen=True)

@@ -194,8 +194,7 @@ def hausdorff_check(mu: MomentSequence, n_max: int, p: float = DEFAULT_P_POWER) 
         row_f = [float(w) for w in row]
         scale = max((abs(w) for w in row_f), default=0.0)
         tol = 0.0 if mu.exact else 1e-12 * max(scale, 1.0)
-        for k, w in enumerate(row):
-            wf = float(w)
+        for k, (w, wf) in enumerate(zip(row, row_f)):
             min_weight = min(min_weight, wf)
             negative = (w < 0) if mu.exact else (wf < -tol)
             if negative and positivity_ok:
@@ -209,8 +208,8 @@ def hausdorff_check(mu: MomentSequence, n_max: int, p: float = DEFAULT_P_POWER) 
             ) from None
     c_const = max(stats) ** (1.0 / p)
     decay_ok = all(
-        abs(float(mu(n))) <= c_const / (n + 1) ** ((p - 1.0) / p) * (1.0 + 1e-12)
-        for n in range(n_max + 1)
+        abs(float(mu_n)) <= c_const / (n + 1) ** ((p - 1.0) / p) * (1.0 + 1e-12)
+        for n, mu_n in enumerate(table[0])
     )
     return HausdorffReport(
         n_max=n_max,

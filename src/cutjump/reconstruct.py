@@ -47,7 +47,6 @@ from itertools import accumulate, chain
 from typing import Callable, Sequence
 
 import numpy as np
-from mpmath import mp
 
 from .corpus import CoefficientSet, JumpGroundTruth
 from .errors import ConfigError, DomainError, InputError
@@ -81,9 +80,6 @@ BAND_LO, BAND_HI = 0.04, 0.15
 MIN_DECAY_EXPONENT = 2.0
 DIVERGENCE_GROWTH = 0.5
 ERROR_DOMAIN = (1.0, 50.0)  # the x-range of ``l2_error``
-# Working precision of the 2 sqrt(pi) prefactor of the critical-line
-# coefficients, applied once to each exact sum; far beyond the 53 bits kept.
-LINE_PREFACTOR_BITS = 256
 
 
 # --------------------------------------------------------------------------
@@ -151,16 +147,8 @@ def _sqrt_ratio(m: int, d: int) -> float:
         return math.inf
 
 
-def synthesize_raw(values: np.ndarray, n_max: int, critical_line: bool = False) -> SynthesisResult:
-    """Exact synthesis of pref * sum_k (-1)^k v_k q_n^{(k)} / k!, n <= n_max.
-
-    The sums are exact integers (see ``_exact_sums``) and each coefficient
-    is rounded to a double once.  By default pref = sqrt(2), rounded
-    correctly by ``_sqrt_ratio``, and the (-1)^n phase-product factor of the
-    reconstruction coefficients is applied.  ``critical_line`` gives the raw
-    rotated sums of the critical-line expansion instead: pref = 2 sqrt(pi),
-    evaluated at ``LINE_PREFACTOR_BITS`` bits, and no phase factor.
-    """
+def _checked_sums(values, n_max: int) -> tuple[list[int], int]:
+    """``_exact_sums(values, n_max)`` after validating the synthesis input."""
     values = np.asarray(values, dtype=float)
     if values.ndim != 1 or values.size == 0:
         raise InputError("synthesis input must be a non-empty 1-D array")
@@ -168,19 +156,28 @@ def synthesize_raw(values: np.ndarray, n_max: int, critical_line: bool = False) 
         raise InputError("synthesis input must not contain NaN or Inf")
     if n_max < 0:
         raise InputError("n_max must be >= 0")
-    sums, d = _exact_sums(values, n_max)
-    if critical_line:
-        with mp.workprec(LINE_PREFACTOR_BITS):
-            pref = 2 * mp.sqrt(mp.pi) / d
-            c = np.array([float(pref * s) for s in sums])
-    else:
-        c = np.array([(-1.0 if s < 0 else 1.0) * _sqrt_ratio(2 * s * s, d) for s in sums])
-        c[1::2] = -c[1::2]
-    bad = np.flatnonzero(~np.isfinite(c))
+    return _exact_sums(values, n_max)
+
+
+def _in_range(a: np.ndarray, name: str) -> np.ndarray:
+    """``a`` itself; InputError naming the first entry outside the double range."""
+    bad = np.flatnonzero(~np.isfinite(a))
     if bad.size:
-        name = "d" if critical_line else "c"
         raise InputError(f"{name}_{bad[0]} lies outside the double range; rescale the input coefficients")
-    return SynthesisResult(c=c)
+    return a
+
+
+def synthesize_raw(values: np.ndarray, n_max: int) -> SynthesisResult:
+    """Exact synthesis of (-1)^n sqrt(2) sum_k (-1)^k v_k q_n^{(k)} / k!, n <= n_max.
+
+    The sums S_n / D are exact (see ``_exact_sums``), and each coefficient,
+    sqrt(2) S_n / D, is rounded to a double once by ``_sqrt_ratio``.  The
+    (-1)^n is the phase-product factor of the reconstruction coefficients.
+    """
+    sums, d = _checked_sums(values, n_max)
+    c = np.array([(-1.0 if s < 0 else 1.0) * _sqrt_ratio(2 * s * s, d) for s in sums])
+    c[1::2] = -c[1::2]
+    return SynthesisResult(c=_in_range(c, "c"))
 
 
 def synthesize_coefficients(g: CoefficientSet | np.ndarray, n_max: int = DEFAULT_N_MAX) -> SynthesisResult:
@@ -198,10 +195,7 @@ def partial_energies(c: np.ndarray) -> np.ndarray:
     c = np.asarray(c, dtype=float)
     with np.errstate(over="ignore"):
         M = np.cumsum(c * c)
-    bad = np.flatnonzero(~np.isfinite(M))
-    if bad.size:
-        raise InputError(f"M_{bad[0]} lies outside the double range; rescale the input coefficients")
-    return M
+    return _in_range(M, "M")
 
 
 # --------------------------------------------------------------------------
@@ -561,20 +555,18 @@ def _report_dict(report, c_key: str, grid_key: str, errors_key: str) -> dict:
     """The JSON-ready form shared by both report types; the keys name the
     fields that differ between them (and are the JSON keys too)."""
     errors = getattr(report, errors_key)
-    grid, j_rec, j_true = getattr(report, grid_key), report.j_rec, report.j_true
-    if j_true is None:
-        samples = [[float(x), float(j)] for x, j in zip(grid, j_rec)]
-    else:
-        samples = [[float(x), float(j), float(t)] for x, j, t in zip(grid, j_rec, j_true)]
+    columns = [getattr(report, grid_key), report.j_rec]
+    if report.j_true is not None:
+        columns.append(report.j_true)
     return {
         "source": report.source,
-        c_key: [float(v) for v in getattr(report, c_key)],
-        "M": [float(v) for v in report.M],
+        c_key: getattr(report, c_key).tolist(),
+        "M": report.M.tolist(),
         "plateau": list(report.plateau) if report.plateau is not None else None,
         "m_t": report.m_t,
         "confident": report.confident,
         "decay_exponent": report.decay_exponent,
-        "samples": samples,
+        "samples": np.column_stack(columns).tolist(),
         errors_key: errors.to_dict() if errors is not None else None,
     }
 

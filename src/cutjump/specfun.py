@@ -1,10 +1,13 @@
 """Special functions and numerical primitives.
 
-Complex log-gamma (Lanczos), the damped Laguerre and the real-argument
+Log-gamma on the half-plane Re z >= 1/2 (Lanczos), the closed-form
+Meixner-Pollaczek weight, the damped Laguerre and the real-argument
 Meixner-Pollaczek polynomial sequences, and adaptive Gauss-Kronrod
-quadrature.  The rotated Meixner-Pollaczek values that turn series
-coefficients into expansion coefficients never appear one by one:
-``reconstruct`` sums them exactly through their generating function.
+quadrature.  Gamma is needed only on the critical line Re z = 1/2, where
+the interpolant's expansion lives, so no reflection formula is kept.  The
+rotated Meixner-Pollaczek values that turn series coefficients into
+expansion coefficients never appear one by one: ``reconstruct`` sums them
+exactly through their generating function.
 
 The quadrature refines in batched passes, the idiom of QUADPACK's adaptive
 Gauss-Kronrod as vectorised in ``scipy.integrate.quad_vec``: each pass
@@ -39,9 +42,8 @@ __all__ = [
     "mp_weight",
 ]
 
-# Lanczos rational approximation, g = 7, 9 terms.  Relative error below
-# 1e-14 on Re z >= 0.5; the reflection step keeps the left half-plane at
-# the documented 1e-13 level on |Im z| <= 100.
+# Lanczos rational approximation, g = 7, 9 terms; relative error below
+# 1e-14 on Re z >= 0.5.
 _LANCZOS_G = 7.0
 _LANCZOS_C = (
     0.99999999999980993,
@@ -57,65 +59,39 @@ _LANCZOS_C = (
 _LOG_SQRT_2PI = 0.9189385332046727417803297364
 
 
-def _is_nonpositive_integer(z: complex) -> bool:
-    return z.imag == 0.0 and z.real <= 0.0 and z.real == math.floor(z.real)
+def ln_gamma_complex(z: complex) -> complex:
+    """Principal-branch log-gamma on the half-plane Re z >= 1/2 (Lanczos).
 
+    ``exp(ln_gamma_complex(z))`` equals Gamma(z) to relative accuracy better
+    than 1e-13 for |Im z| <= 100.  The package evaluates it on the critical
+    line Re z = 1/2 only; the half-plane holds no pole.
 
-def _ln_gamma_right(z: complex) -> complex:
-    # Lanczos series; valid for Re z >= 0.5.
+    Raises
+    ------
+    DomainError
+        If Re z < 1/2.
+    """
+    z = complex(z)
+    if z.real < 0.5:
+        raise DomainError(f"log-gamma needs Re z >= 1/2, got z = {z}")
     zm1 = z - 1.0
     acc = _LANCZOS_C[0]
     for i, c in enumerate(_LANCZOS_C[1:], start=1):
         acc += c / (zm1 + i)
     t = zm1 + _LANCZOS_G + 0.5
-    return _LOG_SQRT_2PI + (zm1 + 0.5) * np.log(t) - t + np.log(acc)
-
-
-def _log_sin_pi_upper(z: complex) -> complex:
-    # log sin(pi z) for Im z >= 0 via sin(pi z) = (i/2) e^{-i pi z} (1 - e^{2 i pi z}),
-    # which keeps the exponentials bounded in the upper half-plane.
-    return (
-        complex(-math.log(2.0), 0.5 * math.pi)
-        - 1j * math.pi * z
-        + np.log(1.0 - np.exp(2j * math.pi * z))
-    )
-
-
-def ln_gamma_complex(z: complex) -> complex:
-    """Principal-branch log-gamma.
-
-    ``exp(ln_gamma_complex(z))`` equals Gamma(z) to relative accuracy better
-    than 1e-13 for |Im z| <= 100.  Values with Re z < 0.5 are computed via the
-    reflection formula; the branch on the negative real axis is the limit
-    from the upper half-plane.
-
-    Raises
-    ------
-    DomainError
-        If z is a pole of Gamma (a nonpositive integer).
-    """
-    z = complex(z)
-    if _is_nonpositive_integer(z):
-        raise DomainError(f"log-gamma pole at z = {z.real:g}")
-    if z.real >= 0.5:
-        return complex(_ln_gamma_right(z))
-    # Reflection: ln Gamma(z) = ln pi - ln sin(pi z) - ln Gamma(1 - z).
-    if z.imag >= 0.0:
-        log_sin = _log_sin_pi_upper(z)
-    else:
-        log_sin = np.conj(_log_sin_pi_upper(np.conj(z)))
-    return complex(math.log(math.pi) - log_sin - _ln_gamma_right(1.0 - z))
+    return complex(_LOG_SQRT_2PI + (zm1 + 0.5) * np.log(t) - t + np.log(acc))
 
 
 def mp_weight(nu: float) -> float:
     """Orthogonality weight of the Meixner-Pollaczek family at alpha = 1/2.
 
-    w(nu) = (1/pi) |Gamma(1/2 + i nu)|^2, strictly positive and even.
-    Computed through the log-gamma route so that over/underflow of Gamma
-    itself never occurs.
+    w(nu) = (1/pi) |Gamma(1/2 + i nu)|^2 = 1/cosh(pi nu) (DLMF 5.4.4),
+    strictly positive and even, evaluated as 2e/(1 + e^2) with
+    e = exp(-pi |nu|): it underflows to 0 for large |nu| and never
+    overflows.
     """
-    lg = ln_gamma_complex(complex(0.5, float(nu)))
-    return math.exp(2.0 * lg.real) / math.pi
+    e = math.exp(-math.pi * abs(float(nu)))
+    return 2.0 * e / (1.0 + e * e)
 
 
 def laguerre_scaled_seq(n_max: int, x) -> np.ndarray:

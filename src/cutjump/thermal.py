@@ -20,6 +20,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from mpmath import mp
 
 from .corpus import CoefficientSet, JumpGroundTruth, ProblemSpec, coefficients
 from .errors import InputError
@@ -29,7 +30,9 @@ from .reconstruct import (
     PlateauPolicy,
     SynthesisResult,
     _basis,
+    _checked_sums,
     _head,
+    _in_range,
     _report_dict,
     _run_pipeline,
     _trapezoid_l2,
@@ -53,6 +56,9 @@ __all__ = [
 
 V_MAX = 15.0  # e^{-v} |J|^2 below 1e-12 beyond this for all corpus truths
 V_POINTS = 1200
+# Working precision of the 2 sqrt(pi) prefactor of the critical-line
+# coefficients, applied once to each exact sum; far beyond the 53 bits kept.
+LINE_PREFACTOR_BITS = 256
 
 
 @dataclass(frozen=True)
@@ -131,9 +137,15 @@ def synthesize_line_coefficients(problem: ThermalProblem, n_max: int = DEFAULT_N
     2 sqrt(pi) and without the (-1)^n phase product: these multiply the
     complex line functions, where the i^n phase is applied explicitly at
     evaluation time.  Their ratio to the reconstruction coefficients is
-    (-1)^n sqrt(2 pi); a regression test records that observation.
+    (-1)^n sqrt(2 pi); a regression test records that observation.  The
+    prefactor is evaluated at ``LINE_PREFACTOR_BITS`` bits and each product
+    rounded to a double once.
     """
-    return synthesize_raw(problem.coefficients.values, n_max, critical_line=True)
+    sums, d = _checked_sums(problem.coefficients.values, n_max)
+    with mp.workprec(LINE_PREFACTOR_BITS):
+        pref = 2 * mp.sqrt(mp.pi) / d
+        d_n = np.array([float(pref * s) for s in sums])
+    return SynthesisResult(c=_in_range(d_n, "d"))
 
 
 def gtilde_line_expansion(d_hat: np.ndarray, m_t: int, nus) -> np.ndarray:

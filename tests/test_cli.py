@@ -545,6 +545,17 @@ def test_sweep_parallel_matches_serial(tmp_path, monkeypatch):
     assert a == b
 
 
+def test_default_worker_count_follows_the_affinity_mask(monkeypatch):
+    # Under taskset or a cpuset the process may use fewer CPUs than the
+    # machine has; the default pool must not exceed them.
+    monkeypatch.delenv("CUTJUMP_THREADS", raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    assert cli._worker_count(5) == 1
+    monkeypatch.setenv("CUTJUMP_THREADS", "4")
+    assert cli._worker_count(5) == 4  # the variable still sets the cap
+
+
 def test_sweep_bad_threads_env(tmp_path, monkeypatch):
     monkeypatch.setenv("CUTJUMP_THREADS", "zero")
     code = run_cli(

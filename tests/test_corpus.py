@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from cutjump import cli, corpus
-from cutjump.errors import DomainError, InputError, ParseError
+from cutjump.errors import InputError, ParseError
 from cutjump.specfun import integrate_adaptive
 
 
@@ -26,7 +26,7 @@ def test_builtin_ids_and_unknown():
 def test_normalized_rational_basics():
     spec = corpus.builtin("normalized_rational")
     assert spec.coefficient_rule(0) == pytest.approx(1.0)
-    assert corpus.gtilde_eval(spec, 0.0) == pytest.approx(1.0)
+    assert spec.gtilde(complex(0.0)) == pytest.approx(1.0)
     assert spec.jump(1.0) == pytest.approx(0.0)  # continuous at the cut end
     assert spec.continuous
 
@@ -35,7 +35,7 @@ def test_harmonic_is_discontinuous():
     spec = corpus.builtin("harmonic")
     assert spec.jump(1.0) == pytest.approx(1.0)
     assert not spec.continuous
-    assert corpus.gtilde_eval(spec, 2.5) == pytest.approx(1.0 / 3.5)
+    assert spec.gtilde(complex(2.5)) == pytest.approx(1.0 / 3.5)
 
 
 def test_jump_vanishes_outside_support():
@@ -50,16 +50,7 @@ def test_jump_vanishes_outside_support():
 def test_round_trip_rule_equals_interpolant(problem_id):
     spec = corpus.builtin(problem_id)
     for k in range(spec.start_index, 61):
-        assert abs(spec.coefficient_rule(k) - corpus.gtilde_eval(spec, k)) <= 1e-12
-
-
-def test_gtilde_domain_error():
-    spec = corpus.builtin("normalized_rational")
-    with pytest.raises(DomainError):
-        corpus.gtilde_eval(spec, -1.0)
-    thermal = corpus.builtin("thermal_boson_demo")
-    with pytest.raises(DomainError):
-        corpus.gtilde_eval(thermal, 0.0)
+        assert abs(spec.coefficient_rule(k) - spec.gtilde(complex(k))) <= 1e-12
 
 
 def test_thermal_demo_laplace_identity():
@@ -76,7 +67,7 @@ def test_mellin_identity_continuous_specs(problem_id, lam):
     # int_1^inf J(x) x^{-lam-1} dx = g~(lam)
     spec = corpus.builtin(problem_id)
     res = integrate_adaptive(lambda x: spec.jump(x) * x ** (-lam - 1.0), 1.0, math.inf)
-    assert res.value == pytest.approx(corpus.gtilde_eval(spec, lam).real, abs=1e-8)
+    assert res.value == pytest.approx(spec.gtilde(complex(lam)).real, abs=1e-8)
 
 
 def test_plancherel_identity_at_critical_line():
