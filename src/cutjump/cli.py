@@ -13,16 +13,20 @@ configurations (seeds included) produce byte-identical JSON and CSV output.
 Exit codes: 0 clean run; 1 usage/parse/IO/config error, or input whose
 coefficients or energies fall outside the double range; 2 failed positivity
 under ``--expect-positive``.  JSON reports never contain NaN or Infinity.
-Sweep cells run in a process pool capped by the CUTJUMP_THREADS environment
-variable, else by the CPUs the process may run on; per-cell failures land
-in the output rows and only an all-cell failure makes the exit code
-nonzero.  Before it starts the pool, ``sweep`` imports ``numpy.random``
-when any cell is noisy, so that workers forked from it (the fork start
-method, the Linux default through Python 3.13) inherit the module instead
-of each importing it on its first cell; that import is the only set-up
-warmed before the fork.  Under spawn or forkserver the results are the
-same, only not warmed.  The pool module itself is imported only by
-``sweep``.
+A sweep whose estimated serial work (``_cell_seconds`` summed over its
+cells) is below ``SWEEP_POOL_MIN_S`` runs its cells one after another in the
+calling process, with no pool; a larger one runs them in a process pool of
+min(cap, cells) workers, the cap being the CUTJUMP_THREADS environment
+variable, else the CPUs the process may run on.  CUTJUMP_THREADS is
+validated on every sweep, and the CSV is the same bytes either way.
+Per-cell failures land in the output rows and only an all-cell failure makes
+the exit code nonzero.  Before it starts a pool, ``sweep`` imports
+``numpy.random`` when any cell is noisy, so that workers forked from it (the
+fork start method, the Linux default through Python 3.13) inherit the module
+instead of each importing it on its first cell; that import is the only
+set-up warmed before the fork.  Under spawn or forkserver the results are
+the same, only not warmed.  The pool module itself is imported only by a
+sweep that starts a pool.
 """
 
 from __future__ import annotations
@@ -54,8 +58,9 @@ EXIT_POSITIVITY = 2
 MAX_N_COEFFS = 1000
 MAX_N_MAX = 800
 # Ceiling on a sweep's runs, len(n-list) * len(epsilons) * repeats, checked
-# before any cell is built.  A default cell (N = 60, n_max = 200) took about
-# 6 ms and the cheapest (N = 1, n_max = 0) under 1 ms on a 2-vCPU VM.
+# before any cell is built.  In-process, a default noisy cell (N = 60,
+# n_max = 200) took a median 4.4 ms (5.0 ms noise-free) and the cheapest
+# (N = 1, n_max = 0) 0.4 ms on a 2-vCPU VM.
 MAX_SWEEP_CELLS = 10_000
 
 
@@ -366,7 +371,32 @@ def _sweep_cell(cell: tuple[int, RunConfig]) -> dict:
     return row
 
 
-def _worker_count(n_cells: int) -> int:
+# Estimated seconds of one sweep cell with N coefficients at depth n_max.
+# Synthesis makes N passes of big-integer additions over n_max + 1 sums whose
+# integers grow with N, hence the N^2 n_max term.  The coefficients are a
+# least-squares fit (relative error) to steady in-process cell times on a
+# 2-vCPU VM, N in {1, 20, 60, 120, 250, 400, 700, 1000} x n_max in
+# {0, 50, 200, 400, 800}, noisy and noise-free: rms error 18%, worst 55%.
+def _cell_seconds(n: int, n_max: int) -> float:
+    return 6.7e-4 + 6.7e-6 * n + n_max * (6.3e-6 + n * (1.09e-7 + 8.8e-10 * n))
+
+
+# Estimated serial work (s) below which a sweep runs in the calling process.
+# A pool pays for starting and stopping its workers (11-14 ms for two,
+# forked from a process that has imported cutjump.cli) and
+# for each forked worker's first cell, about twice a steady one.  Serial
+# against a 2-worker pool on N = 60 cells (about 4.3 ms each by the
+# estimate), medians of 20 alternating pairs in one sitting on a 2-vCPU VM:
+# 10 cells 48 vs 53 ms (pool faster in 3/20), 14 cells 78 vs 66 (16/20),
+# 20 cells 95 vs 88 (12/20), 40 cells 222 vs 166 (20/20).
+SWEEP_POOL_MIN_S = 0.05
+
+
+def _worker_count(cells: list[tuple[int, RunConfig]]) -> int:
+    """Pool size for a sweep's cells: 1, meaning no pool, when their
+    estimated serial work is below SWEEP_POOL_MIN_S, else the cap
+    (CUTJUMP_THREADS, else the CPUs this process may run on) or the cell
+    count if smaller.  CUTJUMP_THREADS is validated either way."""
     env = os.environ.get("CUTJUMP_THREADS")
     if env is not None:
         try:
@@ -379,7 +409,9 @@ def _worker_count(n_cells: int) -> int:
         cap = len(os.sched_getaffinity(0))  # the CPUs this process may run on
     else:
         cap = os.cpu_count() or 1
-    return max(1, min(cap, n_cells))
+    if sum(_cell_seconds(c.n_coeffs, c.n_max) for _, c in cells) < SWEEP_POOL_MIN_S:
+        return 1
+    return max(1, min(cap, len(cells)))
 
 
 def cmd_sweep(sweep: SweepConfig) -> int:
@@ -388,7 +420,7 @@ def cmd_sweep(sweep: SweepConfig) -> int:
     out_dir = Path(base.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     cells = sweep.cells()
-    workers = _worker_count(len(cells))
+    workers = _worker_count(cells)
     if workers == 1:
         rows = [_sweep_cell(c) for c in cells]
     else:

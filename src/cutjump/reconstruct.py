@@ -38,6 +38,7 @@ uncached.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import threading
@@ -398,10 +399,12 @@ def _basis(build: Callable, n: int, xs) -> np.ndarray:
         return rows
 
 
+@functools.cache
 def default_grid() -> np.ndarray:
     """Default sample grid: 1500 geometric points on [1e-2, 50] plus 500
     linear points on [0.5, 3] where the jump's structure lives, sorted, with
-    repeats dropped.
+    repeats dropped.  Built once per process; every call returns that same
+    read-only array, so callers that need to write must copy it.
 
     The same array as ``np.unique`` gives (the grid has no NaN), but built
     by sort and an adjacent-difference mask: in numpy 2.4 ``np.unique``
@@ -409,7 +412,9 @@ def default_grid() -> np.ndarray:
     so every sweep worker, would pay for one grid.
     """
     xs = np.sort(np.concatenate([np.geomspace(1e-2, 50.0, 1500), np.linspace(0.5, 3.0, 500)]))
-    return xs[np.concatenate(([True], xs[1:] != xs[:-1]))]
+    grid = xs[np.concatenate(([True], xs[1:] != xs[:-1]))]
+    grid.setflags(write=False)
+    return grid
 
 
 def _head(c: np.ndarray, m_t: int) -> np.ndarray:

@@ -536,24 +536,64 @@ def test_sweep_parallel_matches_serial(tmp_path, monkeypatch):
         "--n-max",
         "50",
     ]
+    # These 4 small cells are far below the pool threshold; with it at 0
+    # the second run goes through a 4-worker pool.
+    monkeypatch.setattr(cli, "SWEEP_POOL_MIN_S", 0.0)
+    counted = []
+    count = cli._worker_count
+    monkeypatch.setattr(cli, "_worker_count", lambda cells: counted.append(count(cells)) or counted[-1])
     monkeypatch.setenv("CUTJUMP_THREADS", "1")
     assert run_cli(args + ["--out", str(tmp_path / "serial")]) == cli.EXIT_OK
     monkeypatch.setenv("CUTJUMP_THREADS", "4")
     assert run_cli(args + ["--out", str(tmp_path / "par")]) == cli.EXIT_OK
+    assert counted == [1, 4]
+    assert "concurrent.futures.process" in sys.modules
     a = (tmp_path / "serial" / "normalized_rational_sweep.csv").read_bytes()
     b = (tmp_path / "par" / "normalized_rational_sweep.csv").read_bytes()
     assert a == b
 
 
+def _sweep_cells(ns, n_max, n_eps) -> list:
+    base = cli.RunConfig(problem="normalized_rational", n_max=n_max)
+    return cli.SweepConfig(base=base, ns=ns, epsilons=[10.0**-k for k in range(n_eps)], repeats=1).cells()
+
+
 def test_default_worker_count_follows_the_affinity_mask(monkeypatch):
     # Under taskset or a cpuset the process may use fewer CPUs than the
     # machine has; the default pool must not exceed them.
+    cells = _sweep_cells([1000], 800, 5)  # estimated well above the pool threshold
     monkeypatch.delenv("CUTJUMP_THREADS", raising=False)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
-    assert cli._worker_count(5) == 1
+    assert cli._worker_count(cells) == 1
     monkeypatch.setenv("CUTJUMP_THREADS", "4")
-    assert cli._worker_count(5) == 4  # the variable still sets the cap
+    assert cli._worker_count(cells) == 4  # the variable still sets the cap
+
+
+@pytest.mark.parametrize(
+    "ns,n_max,n_eps,cap,expected",
+    [
+        ([1000], 800, 2, 4, 2),  # fewer cells than the cap
+        ([1000], 800, 2, 1, 1),
+        ([400], 200, 3, 2, 2),
+        (list(range(60, 68)), 200, 5, 8, 8),  # 40 cells of about the default cost
+        (list(range(60, 68)), 200, 5, 3, 3),
+    ],
+)
+def test_sweep_above_the_pool_threshold_gets_min_of_cap_and_cells(monkeypatch, ns, n_max, n_eps, cap, expected):
+    cells = _sweep_cells(ns, n_max, n_eps)
+    assert sum(cli._cell_seconds(c.n_coeffs, c.n_max) for _, c in cells) >= cli.SWEEP_POOL_MIN_S
+    monkeypatch.setenv("CUTJUMP_THREADS", str(cap))
+    assert cli._worker_count(cells) == expected
+
+
+def test_sweep_below_the_pool_threshold_runs_serially(monkeypatch):
+    cells = _sweep_cells([60], 200, 5)  # the default sweep's shape, one repeat
+    monkeypatch.setenv("CUTJUMP_THREADS", "2")
+    assert cli._worker_count(cells) == 1
+    monkeypatch.setenv("CUTJUMP_THREADS", "0")  # still validated
+    with pytest.raises(ConfigError, match="CUTJUMP_THREADS"):
+        cli._worker_count(cells)
 
 
 def test_sweep_bad_threads_env(tmp_path, monkeypatch):
@@ -641,10 +681,26 @@ def test_pool_sweep_imports_numpy_random_only_for_noise(tmp_path, epsilons, expe
     # noisy; the noise-free sweep's parent never needs it.
     argv = ["sweep", "--problem", "normalized_rational", "--n-list", "10", "--epsilons", epsilons,
             "--repeats", "2", "--n-max", "20", "--out", str(tmp_path)]  # fmt: skip
-    code = f"import os\nos.environ['CUTJUMP_THREADS'] = '2'\nfrom cutjump import cli\ncli.main({argv!r})"
+    # 2 tiny cells run serially unless the pool threshold is lowered to 0.
+    code = (
+        "import os\nos.environ['CUTJUMP_THREADS'] = '2'\nfrom cutjump import cli\n"
+        f"cli.SWEEP_POOL_MIN_S = 0.0\ncli.main({argv!r})"
+    )
     loaded = _cold_modules_loaded(code)
+    assert "concurrent.futures.process" in loaded
     assert [m for m in loaded if m != "concurrent.futures.process"] == expected
     assert (tmp_path / "normalized_rational_sweep.csv").is_file()
+
+
+def test_small_sweep_runs_without_the_process_pool(tmp_path):
+    # Five N = 60 cells at the default depth, one per epsilon: less work
+    # than starting a pool costs, so they run in this process even with two
+    # workers allowed.
+    argv = ["sweep", "--problem", "normalized_rational", "--n-list", "60",
+            "--epsilons", "1e-3,1e-4,1e-5,1e-6,1e-7", "--repeats", "1", "--out", str(tmp_path)]  # fmt: skip
+    code = f"import os\nos.environ['CUTJUMP_THREADS'] = '2'\nfrom cutjump import cli\ncli.main({argv!r})"
+    assert _cold_modules_loaded(code) == ["numpy.random"]
+    assert len((tmp_path / "normalized_rational_sweep.csv").read_text().splitlines()) == 6
 
 
 # ------------------------------------------------------------ determinism

@@ -58,7 +58,6 @@ def test_synthesis_reproduces_projection_of_known_jump():
     spec = corpus.builtin("normalized_rational")
     cs = corpus.coefficients(spec, 60)
     res = synthesize_coefficients(cs, n_max=30)
-    mp.prec = 350
 
     def lag(n, t):
         p0, p1 = mpmath.mpf(1), 1 - t
@@ -69,10 +68,11 @@ def test_synthesis_reproduces_projection_of_known_jump():
         return p1
 
     for n in (0, 1, 5, 17, 30):
-        proj = mpmath.quad(
-            lambda t: (6 * mpmath.sqrt(2) / 8) * (2 * t - t * t) * lag(n, t) * mpmath.exp(-t / 2),
-            [0, 2],
-        )
+        with mp.workprec(350):
+            proj = mpmath.quad(
+                lambda t: (6 * mpmath.sqrt(2) / 8) * (2 * t - t * t) * lag(n, t) * mpmath.exp(-t / 2),
+                [0, 2],
+            )
         assert res.c[n] == pytest.approx(float(proj), rel=2e-9, abs=1e-12)
 
 
@@ -373,6 +373,14 @@ def test_default_grid_bytes_match_sorted_unique():
     # stay the same array byte for byte, whatever builds it.
     xs = np.concatenate([np.geomspace(1e-2, 50.0, 1500), np.linspace(0.5, 3.0, 500)])
     assert default_grid().tobytes() == np.unique(xs).tobytes()
+
+
+def test_default_grid_is_one_read_only_array():
+    grid = default_grid()
+    assert grid is default_grid()
+    assert not grid.flags.writeable
+    with pytest.raises(ValueError):
+        grid[0] = 0.0
 
 
 def test_basis_scaling_in_place_is_bit_identical():

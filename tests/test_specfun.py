@@ -78,12 +78,12 @@ def test_ln_gamma_on_the_critical_line_matches_the_recorded_digest():
 
 
 def test_ln_gamma_matches_mpmath_on_strip():
-    mp.prec = 80
     for re in (0.5, 1.7, 8.0):
         for im in (0.25, 3.0, 10.0, 100.0):
             z = complex(re, im)
             mine = ln_gamma_complex(z)
-            ref = complex(mpmath.loggamma(z))
+            with mp.workprec(80):
+                ref = complex(mpmath.loggamma(z))
             assert abs(mine - ref) <= 1e-12 * (1.0 + abs(ref))
             # conjugate symmetry
             conj = ln_gamma_complex(z.conjugate())
