@@ -383,12 +383,12 @@ def _cell_seconds(n: int, n_max: int) -> float:
 
 # Estimated serial work (s) below which a sweep runs in the calling process.
 # A pool pays for starting and stopping its workers (11-14 ms for two,
-# forked from a process that has imported cutjump.cli) and
-# for each forked worker's first cell, about twice a steady one.  Serial
-# against a 2-worker pool on N = 60 cells (about 4.3 ms each by the
-# estimate), medians of 20 alternating pairs in one sitting on a 2-vCPU VM:
-# 10 cells 48 vs 53 ms (pool faster in 3/20), 14 cells 78 vs 66 (16/20),
-# 20 cells 95 vs 88 (12/20), 40 cells 222 vs 166 (20/20).
+# forked from a process that has imported cutjump.cli) and for each forked
+# worker's first cell, about twice a steady one.  Serial against a 2-worker
+# pool on N = 60 cells (about 4.3 ms each by the estimate), medians of 20
+# alternating pairs in one sitting on a 2-vCPU VM: 10 cells 48 vs 53 ms
+# (pool faster in 3/20), 14 cells 78 vs 66 (16/20), 16 cells 74 vs 70
+# (10/20), 20 cells 95 vs 88 (12/20), 40 cells 222 vs 166 (20/20).
 SWEEP_POOL_MIN_S = 0.05
 
 

@@ -24,8 +24,9 @@ sum.  That (-1)^n is folded into the stored c_n, so every reported
 coefficient and sample is a plain float and the reconstruction is simply
 sum_n c_n phi_n(x), with phi_n the rows of ``phi_matrix``.
 
-Shared state: one process-wide cache (``_basis``), the package's only one,
-holds read-only basis matrices, keyed by the builder and the shape and bytes
+Shared state: besides the read-only ``default_grid``, built once, one
+process-wide cache (``_basis``), the package's only growing one, holds
+read-only basis matrices, keyed by the builder and the shape and bytes
 of the abscissa array.  Every report resums on the same fixed grid, and the
 integral checks' quadrature nodes fall on one dyadic lattice in t = 1/x, so
 most requests repeat an earlier array.  A request for fewer rows reads a row

@@ -17,10 +17,10 @@ long recurrence more than its point count, is then called once per pass,
 not once per panel.
 
 All functions here are pure, and the module holds no shared state.  The
-package's only cache is ``reconstruct``'s store of basis matrices (rows of
-``laguerre_scaled_seq``, scaled), keyed by builder and abscissa bytes; it
-serves row prefixes of arrays that a fresh build would fill with the same
-values, so it leaves every result bit-identical.
+package's only growing cache is ``reconstruct``'s store of basis matrices
+(rows of ``laguerre_scaled_seq``, scaled), keyed by builder and abscissa
+bytes; it serves row prefixes of arrays that a fresh build would fill with
+the same values, so it leaves every result bit-identical.
 """
 
 from __future__ import annotations

@@ -579,6 +579,7 @@ def test_default_worker_count_follows_the_affinity_mask(monkeypatch):
         (list(range(60, 68)), 200, 5, 8, 8),  # 40 cells of about the default cost
         (list(range(60, 68)), 200, 5, 3, 3),
     ],
+    ids=["N1000-cap4", "N1000-cap1", "N400-cap2", "40cells-cap8", "40cells-cap3"],
 )
 def test_sweep_above_the_pool_threshold_gets_min_of_cap_and_cells(monkeypatch, ns, n_max, n_eps, cap, expected):
     cells = _sweep_cells(ns, n_max, n_eps)
