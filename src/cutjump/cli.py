@@ -52,9 +52,9 @@ EXIT_POSITIVITY = 2
 
 # Ceilings on the coefficient count N (--n-coeffs, each --n-list entry, the
 # N of an --input file) and on the depth n_max.  Synthesis costs grow with
-# N * n_max and the exact moments table faster than n_max^2; at both ceilings
-# a fresh `reconstruct` or `thermal` run took about 1 s and a `moments` run
-# 5-7 s on a 2-vCPU VM.
+# N * n_max and the exact moments scan about like n_max^2; at both ceilings a
+# fresh `reconstruct` or `thermal` run took about 1 s and a `moments` run
+# 0.6-1.0 s on a 2-vCPU VM.
 MAX_N_COEFFS = 1000
 MAX_N_MAX = 800
 # Ceiling on a sweep's runs, len(n-list) * len(epsilons) * repeats, checked

@@ -1,12 +1,11 @@
 """Moment-sequence diagnostics.
 
-Finite-difference tables, Bernstein weights, and the two Hausdorff-type
-checks (weight positivity; boundedness of the L^p row statistic) that decide
-whether a coefficient sequence behaves like the moments of a function on
-[0, 1].  Rational sequences are handled exactly with ``fractions.Fraction``;
-the binomially weighted differences lose all significance in doubles once
-the row index grows past about 40, so the exact path is authoritative
-whenever it is available.
+Bernstein weights and the two Hausdorff-type checks (weight positivity;
+boundedness of the L^p row statistic) that decide whether a coefficient
+sequence behaves like the moments of a function on [0, 1].  One streaming
+kernel yields the weight rows in order, keeping no difference table.  Rational
+sequences run exactly, on integers over one common denominator, because the
+weighted differences lose all significance in doubles past row about 40.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -26,7 +25,6 @@ __all__ = [
     "MomentSequence",
     "bernstein_weights",
     "check_f_sequence",
-    "difference_table",
     "hausdorff_check",
 ]
 
@@ -39,7 +37,7 @@ class MomentSequence:
     """A sequence mu_0, mu_1, ... accessed through a deterministic generator.
 
     ``exact`` marks sequences whose generator returns ``Fraction`` values;
-    all downstream tables then stay exact.  ``length_available`` is None for
+    their weights are then computed exactly.  ``length_available`` is None for
     closed-form rules and a count for stored finite prefixes.
     """
 
@@ -69,23 +67,6 @@ class MomentSequence:
         return [self(k) for k in range(n + 1)]
 
 
-def difference_table(mu: MomentSequence, n: int) -> list[list]:
-    """Triangular forward-difference table.
-
-    ``table[r][k]`` holds the r-fold difference of mu at k, for r + k <= n.
-    Row 0 is the sequence itself; each next row is first differences of the
-    previous one.  Exact if the sequence is exact.
-    """
-    if n < 0:
-        raise InputError("table order must be >= 0")
-    row = mu.prefix(n)
-    table = [row]
-    for _ in range(n):
-        row = [row[k + 1] - row[k] for k in range(len(row) - 1)]
-        table.append(row)
-    return table
-
-
 @dataclass(frozen=True)
 class BernsteinRow:
     """Row n of Bernstein weights: w_k = C(n, k) (-1)^{n-k} Delta^{n-k} mu_k."""
@@ -101,10 +82,22 @@ class BernsteinRow:
         return sum(self.weights)
 
 
-def _weights_from_table(table: list[list], n: int) -> list:
-    return [
-        math.comb(n, k) * (-1 if (n - k) % 2 else 1) * table[n - k][k] for k in range(n + 1)
-    ]
+def _bernstein_rows(values: list) -> Iterator[list]:
+    """Yield the weight rows 0..len(values)-1 of ``values``, keeping no table.
+
+    Row n updates ``diffs[k]`` = Delta^{n-k} mu_k and ``binom[k]`` = C(n, k) in
+    place from the right; each difference is the table's subtraction on the same operands.
+    """
+    diffs: list = []
+    binom: list[int] = []
+    for n, mu_n in enumerate(values):
+        diffs.append(mu_n)
+        binom.append(1)
+        for k in reversed(range(n)):
+            diffs[k] = diffs[k + 1] - diffs[k]
+            if k:
+                binom[k] += binom[k - 1]
+        yield [(c * (-1 if (n - k) % 2 else 1)) * d for k, (c, d) in enumerate(zip(binom, diffs))]
 
 
 def bernstein_weights(mu: MomentSequence, n: int) -> BernsteinRow:
@@ -113,8 +106,10 @@ def bernstein_weights(mu: MomentSequence, n: int) -> BernsteinRow:
     The last entry always equals mu_n itself (the zero-fold difference),
     and for the moments of a probability distribution the row sums to 1.
     """
-    table = difference_table(mu, n)
-    return BernsteinRow(n, _weights_from_table(table, n))
+    if n < 0:
+        raise InputError("row order must be >= 0")
+    *_, row = _bernstein_rows(mu.prefix(n))
+    return BernsteinRow(n, row)
 
 
 @dataclass(frozen=True)
@@ -184,22 +179,26 @@ def hausdorff_check(mu: MomentSequence, n_max: int, p: float = DEFAULT_P_POWER) 
         raise InputError("n_max must be >= 0")
     if p <= 1.0:
         raise InputError("p must exceed 1")
-    table = difference_table(mu, n_max)
-    positivity_ok = True
+    try:
+        (n_max + 1) ** (p - 1.0)
+    except OverflowError:
+        msg = f"(n_max+1)^(p-1) overflows a double at n_max = {n_max}, p = {p:g}; choose a smaller p-exponent"
+        raise InputError(f"p-exponent: {msg}") from None
+    prefix = mu.prefix(n_max)
+    # Exact sequences run on integers over one common denominator; w / denom
+    # rounds each weight once, as float(Fraction) does, and keeps a float w.
+    denom = math.lcm(*(v.denominator for v in prefix)) if mu.exact else 1.0
+    values = [v.numerator * (denom // v.denominator) for v in prefix] if mu.exact else prefix
     first_negative = None
     min_weight = math.inf
     stats: list[float] = []
-    for n in range(n_max + 1):
-        row = _weights_from_table(table, n)
-        row_f = [float(w) for w in row]
-        scale = max((abs(w) for w in row_f), default=0.0)
-        tol = 0.0 if mu.exact else 1e-12 * max(scale, 1.0)
-        for k, (w, wf) in enumerate(zip(row, row_f)):
-            min_weight = min(min_weight, wf)
-            negative = (w < 0) if mu.exact else (wf < -tol)
-            if negative and positivity_ok:
-                positivity_ok = False
-                first_negative = (n, k)
+    for n, row in enumerate(_bernstein_rows(values)):
+        row_f = [w / denom for w in row]
+        tol = 0.0 if mu.exact else 1e-12 * max(max(abs(w) for w in row_f), 1.0)
+        min_weight = min(min_weight, *row_f)
+        if first_negative is None:
+            signs = row if mu.exact else row_f
+            first_negative = next(((n, k) for k, w in enumerate(signs) if w < -tol), None)
         try:
             stats.append((n + 1) ** (p - 1.0) * sum(abs(w) ** p for w in row_f))
         except OverflowError:
@@ -209,12 +208,12 @@ def hausdorff_check(mu: MomentSequence, n_max: int, p: float = DEFAULT_P_POWER) 
     c_const = max(stats) ** (1.0 / p)
     decay_ok = all(
         abs(float(mu_n)) <= c_const / (n + 1) ** ((p - 1.0) / p) * (1.0 + 1e-12)
-        for n, mu_n in enumerate(table[0])
+        for n, mu_n in enumerate(prefix)
     )
     return HausdorffReport(
         n_max=n_max,
         p=p,
-        positivity_ok=positivity_ok,
+        positivity_ok=first_negative is None,
         min_weight=min_weight,
         lp_statistic=stats,
         lp_trend=_trend(stats),

@@ -382,6 +382,18 @@ def test_coefficients_near_float_limit_exit_one(tmp_path, capsys, command, first
     assert not list(out.glob("*.json"))
 
 
+def test_moments_overflowing_exponent_exits_one_naming_it(tmp_path, capsys):
+    # The harmonic coefficients are at most 1, but the row factor (n+1)^(p-1)
+    # overflows from row 1 at p = 1e6: exit 1 naming the exponent, not the data.
+    out = tmp_path / "out"
+    code = run_cli(["moments", "--problem", "harmonic", "--p-exponent", "1e6", "--n-max", "5", "--out", str(out)])
+    assert code == cli.EXIT_ERROR
+    err = capsys.readouterr().err
+    assert "p-exponent" in err
+    assert "coefficients" not in err
+    assert not list(out.glob("*.json"))
+
+
 @pytest.mark.parametrize(
     "field,value",
     [("n_coeffs", "60"), ("epsilon", None), ("n_max", 1.5), ("expect_positive", "no")],

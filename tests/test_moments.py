@@ -13,7 +13,6 @@ from cutjump.moments import (
     MomentSequence,
     bernstein_weights,
     check_f_sequence,
-    difference_table,
     hausdorff_check,
 )
 
@@ -21,35 +20,31 @@ HARMONIC = MomentSequence.from_function(lambda k: Fraction(1, k + 1), exact=True
 ONES = MomentSequence.from_function(lambda k: Fraction(1), exact=True)
 
 
-# --------------------------------------------------------------- differences
+# ----------------------------------------------------------------- weights
 
 
-def test_difference_table_constant_sequence():
-    table = difference_table(ONES, 6)
-    assert all(v == 1 for v in table[0])
-    for r in range(1, 7):
-        assert all(v == 0 for v in table[r])
+def _table_route(values, n):
+    """Row n of the weights by the stored forward-difference table."""
+    table = [list(values[: n + 1])]
+    for _ in range(n):
+        table.append([b - a for a, b in zip(table[-1], table[-1][1:])])
+    return [math.comb(n, k) * (-1 if (n - k) % 2 else 1) * table[n - k][k] for k in range(n + 1)]
 
 
-def test_difference_table_harmonic_closed_form():
-    # Delta^r mu_k = (-1)^r r! k! / (k+r+1)! for mu_k = 1/(k+1)
-    table = difference_table(HARMONIC, 12)
-    assert table[1][0] == Fraction(-1, 2)
-    for r in range(13):
-        for k in range(13 - r):
-            expected = (
-                Fraction((-1) ** r)
-                * math.factorial(r)
-                * math.factorial(k)
-                / math.factorial(k + r + 1)
-            )
-            assert table[r][k] == expected
+def test_weights_constant_sequence_is_point_mass():
+    # every difference of a constant vanishes, so only the last weight, mu_n, survives
+    for n in range(13):
+        row = bernstein_weights(ONES, n)
+        assert row.weights == [0] * n + [1]
+        assert row.sum() == 1
 
 
-def test_difference_table_needs_enough_values():
+def test_weights_need_enough_values():
     short = MomentSequence.from_values([1.0, 2.0])
     with pytest.raises(InputError):
-        difference_table(short, 5)
+        bernstein_weights(short, 5)
+    with pytest.raises(InputError):
+        hausdorff_check(short, 5)
 
 
 @given(
@@ -58,31 +53,41 @@ def test_difference_table_needs_enough_values():
     )
 )
 @settings(max_examples=40, deadline=None)
-def test_difference_table_matches_binomial_formula(values):
-    # Independent route: Delta^r mu_k = sum_j C(r, j) (-1)^{r-j} mu_{k+j}
+def test_weights_match_binomial_formula(values):
+    # Independent route: (-1)^r Delta^r mu_k = sum_j C(r, j) (-1)^j mu_{k+j}, with r = n - k
     mu = MomentSequence.from_values(values, exact=True)
-    n = len(values) - 1
-    table = difference_table(mu, n)
-    for r in range(n + 1):
-        for k in range(n + 1 - r):
-            direct = sum(
-                math.comb(r, j) * Fraction((-1) ** (r - j)) * values[k + j] for j in range(r + 1)
-            )
-            assert table[r][k] == direct
+    rows = []
+    for n in range(len(values)):
+        direct = [
+            math.comb(n, k)
+            * sum(math.comb(n - k, j) * Fraction((-1) ** j) * values[k + j] for j in range(n - k + 1))
+            for k in range(n + 1)
+        ]
+        assert bernstein_weights(mu, n).weights == direct
+        rows.append(direct)
+    # the scan's integer path reads the same signs and rounds the same weights
+    report = hausdorff_check(mu, len(values) - 1, p=2.0)
+    negatives = [(n, k) for n, row in enumerate(rows) for k, w in enumerate(row) if w < 0]
+    assert report.first_negative == (negatives[0] if negatives else None)
+    assert report.min_weight == min(float(w) for row in rows for w in row)
 
 
-# ----------------------------------------------------------------- weights
-
-
-def test_weights_constant_sequence_is_point_mass():
-    row = bernstein_weights(ONES, 4)
-    assert row.weights == [0, 0, 0, 0, 1]
-    assert row.sum() == 1
+@given(
+    st.lists(
+        st.floats(min_value=-1e3, max_value=1e3, allow_nan=False), min_size=1, max_size=30
+    )
+)
+@settings(max_examples=60, deadline=None)
+def test_float_weights_bit_identical_to_table_route(values):
+    mu = MomentSequence.from_values(values)
+    for n in range(len(values)):
+        kernel = [w.hex() for w in bernstein_weights(mu, n).weights]
+        assert kernel == [w.hex() for w in _table_route(values, n)]
 
 
 def test_weights_harmonic_beta_integral_oracle():
     # w_k^{(n)} = C(n,k) int_0^1 t^k (1-t)^{n-k} dt = C(n,k) k!(n-k)!/(n+1)!
-    for n in (0, 3, 10, 25):
+    for n in [*range(13), 25, 40]:
         row = bernstein_weights(HARMONIC, n)
         for k, w in enumerate(row.weights):
             beta = Fraction(math.factorial(k) * math.factorial(n - k), math.factorial(n + 1))
