@@ -108,7 +108,8 @@ def bernstein_weights(mu: MomentSequence, n: int) -> BernsteinRow:
     """
     if n < 0:
         raise InputError("row order must be >= 0")
-    *_, row = _bernstein_rows(mu.prefix(n))
+    for row in _bernstein_rows(mu.prefix(n)):
+        pass
     return BernsteinRow(n, row)
 
 
@@ -185,8 +186,8 @@ def hausdorff_check(mu: MomentSequence, n_max: int, p: float = DEFAULT_P_POWER) 
         msg = f"(n_max+1)^(p-1) overflows a double at n_max = {n_max}, p = {p:g}; choose a smaller p-exponent"
         raise InputError(f"p-exponent: {msg}") from None
     prefix = mu.prefix(n_max)
-    # Exact sequences run on integers over one common denominator; w / denom
-    # rounds each weight once, as float(Fraction) does, and keeps a float w.
+    # Exact sequences run on integers over one common denominator, and w / denom
+    # rounds each weight once, as float(Fraction) does; 1.0 leaves a float as is.
     denom = math.lcm(*(v.denominator for v in prefix)) if mu.exact else 1.0
     values = [v.numerator * (denom // v.denominator) for v in prefix] if mu.exact else prefix
     first_negative = None
