@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -164,6 +165,11 @@ class RunConfig:
             for f in dataclasses.fields(self)
             if f.metadata["echo"]
         }
+
+
+# RunConfig's annotations, resolved once: the parser and the JSON config
+# type checks read them.
+_HINTS = typing.get_type_hints(RunConfig)
 
 
 def _fields(command: str) -> list[dataclasses.Field]:
@@ -465,7 +471,6 @@ def _check_config_type(name: str, value, hint) -> None:
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     config = RunConfig()
-    hints = typing.get_type_hints(RunConfig)
     names = [f.name for f in _fields(args.command)]
     if args.config:
         try:
@@ -477,7 +482,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         for key, value in raw.items():
             if key not in names:
                 raise ConfigError(f"config: unknown field {key!r} for {args.command}")
-            _check_config_type(key, value, hints[key])
+            _check_config_type(key, value, _HINTS[key])
             setattr(config, key, value)
     for name in names:
         value = getattr(args, name)
@@ -515,17 +520,16 @@ def build_parser() -> argparse.ArgumentParser:
         "from finitely many noisy coefficients.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    hints = typing.get_type_hints(RunConfig)
     for command, summary in _SUBCOMMANDS.items():
         p = sub.add_parser(command, help=summary)
         p.add_argument("--config", help="JSON file with configuration (flags override it)")
         for f in _fields(command):
             flag, help_text = f.metadata["flag"], f.metadata["help"]
-            if hints[f.name] is bool:
+            if _HINTS[f.name] is bool:
                 # default None leaves a config file's value alone
                 p.add_argument(flag, dest=f.name, action="store_true", default=None, help=help_text)
             else:
-                kind = (typing.get_args(hints[f.name]) or (hints[f.name],))[0]
+                kind = (typing.get_args(_HINTS[f.name]) or (_HINTS[f.name],))[0]
                 p.add_argument(flag, dest=f.name, type=kind, choices=f.metadata["choices"], help=help_text)
 
     p_sw = sub.choices["sweep"]
@@ -534,6 +538,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_sw.add_argument("--repeats", type=int, help="repeats per cell")
     p_sw.add_argument("--seed-base", dest="seed_base", type=int, help="base for cell seeds")
     return parser
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` reads, built once per process: parsing leaves it
+    unchanged, and usage and help are written to the streams current at the
+    time."""
+    return build_parser()
 
 
 def _parse_list(text: str, name: str, kind: type) -> list:
@@ -561,7 +573,7 @@ def _sweep_from_args(args: argparse.Namespace) -> SweepConfig:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if args.command == "sweep":
             return cmd_sweep(_sweep_from_args(args))

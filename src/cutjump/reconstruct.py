@@ -104,12 +104,16 @@ def _exact_sums(values: np.ndarray, n_max: int) -> tuple[list[int], int]:
     denominator, and S_n = sum_k w_k q_n^{(k)} with the integer weights
     w_k = (-1)^k ((K-1)!/k!) (v_k 2^s).  The generating function of the
     rotated values, sum_n q_n^{(k)} t^n = (1 - t)^k / (1 + t)^{k+1}, makes
-    the S_n the Taylor coefficients of sum_k w_k u^k / (1 + t), with
-    u = (1 - t)/(1 + t).  Horner's scheme in u builds that series from
-    k = K-1 down, truncated at t^{n_max} (each step is lower-triangular in
-    t, so the truncation is exact), on the alternated coefficients
-    (-1)^n a_n: there, multiplying by 1 - t adds each coefficient's
-    predecessor and dividing by 1 + t is a prefix sum, so no step multiplies.
+    the S_n the Taylor coefficients of P(u) / (1 + t), with P(u) = sum_k w_k u^k
+    and u = (1 - t)/(1 + t).  On the alternated coefficients (-1)^n S_n, t
+    becomes -t and u becomes v = (1 + t)/(1 - t) = 1 + 2y, y = t/(1 - t).  A
+    Taylor shift (repeated prefix sums over the reversed weights) gives
+    P(1 + 2y) = sum_j b_j y^j with b_j = 2^j sum_k C(k, j) w_k; since y^j
+    starts at t^j, only j <= min(K-1, n_max) matter.  Horner's scheme in y
+    then multiplies by y = t/(1 - t), a shift and one prefix sum per b_j,
+    truncated at t^{n_max} (each step is lower-triangular in t, so the
+    truncation is exact), and a last prefix sum divides by 1 - t.  No step
+    multiplies.
     """
     ratios = [float(v).as_integer_ratio() for v in values]
     shift = max(den.bit_length() - 1 for _, den in ratios)
@@ -120,10 +124,16 @@ def _exact_sums(values: np.ndarray, n_max: int) -> tuple[list[int], int]:
         w = fact * num * ((1 << shift) // den)
         weights[k] = -w if k % 2 else w
         fact *= max(k, 1)
+    shifted = weights[::-1]
+    b = []
+    for j in range(min(len(weights) - 1, n_max) + 1):
+        shifted = list(accumulate(shifted))
+        b.append(shifted.pop() << j)
     acc = [0] * (n_max + 1)
-    for w in reversed(weights):
-        acc = list(accumulate(map(operator.add, acc, chain((0,), acc))))
-        acc[0] += w
+    acc[0] = b.pop()
+    for b_j in reversed(b):
+        acc = list(accumulate(acc[:-1], initial=0))
+        acc[0] = b_j
     sums = list(accumulate(acc))
     sums[1::2] = [-s for s in sums[1::2]]
     return sums, fact << shift
@@ -147,6 +157,35 @@ def _sqrt_ratio(m: int, d: int) -> float:
         return ((q << 1) | sticky) / (1 << (p + 1))
     except OverflowError:
         return math.inf
+
+
+# floor(sqrt(2) 2^64): sqrt(2) lies in [_SQRT2_FLOOR, _SQRT2_FLOOR + 1) / 2^64.
+_SQRT2_BITS = 64
+_SQRT2_FLOOR = math.isqrt(2 << (2 * _SQRT2_BITS))
+
+
+def _sqrt2_ratio(s: int, d: int) -> float:
+    """sqrt(2) s / d correctly rounded to a double, for integers s and d > 0.
+
+    With t = floor(|s| 2^e / d), e chosen so that t has at least 65 bits,
+    sqrt(2) |s| 2^(64+e) / d lies in [R t, (R + 1)(t + 1)), R = _SQRT2_FLOOR:
+    a bracket about 2^-64 wide relative to its ends, however large |s| / d
+    is.  Rounding is monotone, so when both ends round to the same double
+    that double is the answer (Ziv's rounding test); otherwise, rarely, the
+    exact ``_sqrt_ratio`` decides, as it does for zero and for results
+    beyond the double range.
+    """
+    a = abs(s)
+    e = max(0, 66 + d.bit_length() - a.bit_length())
+    t = (a << e) // d
+    scale = 1 << (_SQRT2_BITS + e)
+    try:
+        x = _SQRT2_FLOOR * t / scale
+        if x != (_SQRT2_FLOOR + 1) * (t + 1) / scale:
+            x = _sqrt_ratio(2 * a * a, d)
+    except OverflowError:
+        x = _sqrt_ratio(2 * a * a, d)
+    return -x if s < 0 else x
 
 
 def _checked_sums(values, n_max: int) -> tuple[list[int], int]:
@@ -173,11 +212,11 @@ def synthesize_raw(values: np.ndarray, n_max: int) -> SynthesisResult:
     """Exact synthesis of (-1)^n sqrt(2) sum_k (-1)^k v_k q_n^{(k)} / k!, n <= n_max.
 
     The sums S_n / D are exact (see ``_exact_sums``), and each coefficient,
-    sqrt(2) S_n / D, is rounded to a double once by ``_sqrt_ratio``.  The
+    sqrt(2) S_n / D, is rounded to a double once by ``_sqrt2_ratio``.  The
     (-1)^n is the phase-product factor of the reconstruction coefficients.
     """
     sums, d = _checked_sums(values, n_max)
-    c = np.array([(-1.0 if s < 0 else 1.0) * _sqrt_ratio(2 * s * s, d) for s in sums])
+    c = np.array([_sqrt2_ratio(s, d) for s in sums])
     c[1::2] = -c[1::2]
     return SynthesisResult(c=_in_range(c, "c"))
 

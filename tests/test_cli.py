@@ -645,12 +645,12 @@ def test_sweep_validate_bounds_the_run_count():
 # ------------------------------------------------------------ entry points
 
 
-def _fresh_python(*args: str) -> subprocess.CompletedProcess:
+def _fresh_python(*args: str, cwd=None) -> subprocess.CompletedProcess:
     """Run a new interpreter that imports cutjump from this checkout."""
     src = str(Path(cli.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     return subprocess.run(
-        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=60
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=60, cwd=cwd
     )
 
 
@@ -664,6 +664,41 @@ def test_module_entry_starts_without_warning():
 # Each of these modules took 12-30 ms to import on a 2-vCPU VM, paid again
 # by every fresh process that imports it: a CLI command, a sweep worker.
 _COLD_MODULES = ("concurrent.futures.process", "numpy.ma", "numpy.random")
+
+
+def test_runs_in_one_process_match_fresh_processes(tmp_path, monkeypatch, capsys):
+    # ``main`` parses with one parser per process.  A sweep, a usage error
+    # and a reconstruct run one after another here must print, exit and
+    # write exactly what each does in a fresh interpreter.
+    runs = [
+        ["sweep", "--problem", "normalized_rational", "--n-list", "20", "--epsilons", "0,1e-4",
+         "--repeats", "1", "--n-max", "60", "--out", "out"],
+        ["reconstruct", "--problem", "harmonic", "--n-coeffs", "abc"],
+        ["reconstruct", "--problem", "normalized_rational", "--n-coeffs", "25", "--epsilon", "1e-6",
+         "--seed", "9", "--n-max", "60", "--out", "out"],
+    ]  # fmt: skip
+    monkeypatch.setenv("COLUMNS", "80")  # the usage line wraps at the same width in both
+    here, fresh = tmp_path / "here", tmp_path / "fresh"
+    here.mkdir()
+    fresh.mkdir()
+    monkeypatch.chdir(here)
+    results = []
+    for argv in runs:
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        results.append((code, *capsys.readouterr()))
+        proc = _fresh_python("-m", "cutjump.cli", *argv, cwd=fresh)
+        assert results[-1] == (proc.returncode, proc.stdout, proc.stderr)
+    assert [code for code, _, _ in results] == [cli.EXIT_OK, cli.EXIT_ERROR, cli.EXIT_OK]
+    assert results[1][2].startswith("usage: cutjump reconstruct")
+    assert "argument --n-coeffs: invalid int value: 'abc'" in results[1][2]
+    files = sorted(f.relative_to(here) for f in here.rglob("*") if f.is_file())
+    assert files == sorted(f.relative_to(fresh) for f in fresh.rglob("*") if f.is_file())
+    assert len(files) == 3  # the sweep CSV, the report and the samples
+    for name in files:
+        assert (here / name).read_bytes() == (fresh / name).read_bytes()
 
 
 def _cold_modules_loaded(code: str) -> list[str]:

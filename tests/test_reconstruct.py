@@ -258,6 +258,93 @@ def test_sqrt_ratio_random_against_reference():
         assert reconstruct._sqrt_ratio(m, d) == _reference_sqrt_ratio(m, d), (s, d)
 
 
+@pytest.mark.parametrize(
+    "s,d",
+    [
+        (0, 1),
+        (0, 3**50),
+        (1, 1),
+        (12345, 678),
+        (3 << 200, 5**90),
+        # sqrt(2) s / d around the smallest normal, inside the subnormals,
+        # and below half the smallest subnormal
+        (2**57 + 12345, 2**1080),
+        (2**57 - 1, 2**1080),
+        (3, 2**1076),
+        (1, 2**1074),
+        (1, 2**1076),
+        (1, 2**1077),
+        # just inside and beyond the double range, with |s| / d far above 1
+        (2**1023, 2),
+        (10**308, 1),
+        (2**1100, 3),
+    ],
+)
+def test_sqrt2_ratio_is_correctly_rounded(s, d):
+    want = _reference_sqrt_ratio(2 * s * s, d)
+    assert reconstruct._sqrt2_ratio(s, d) == want
+    assert reconstruct._sqrt2_ratio(-s, d) == -want
+    if s == 0:
+        assert math.copysign(1.0, reconstruct._sqrt2_ratio(s, d)) == 1.0
+
+
+def test_sqrt2_ratio_random_against_reference():
+    rng = random.Random(20261020)
+    for _ in range(300):
+        s = rng.getrandbits(rng.randint(1, 400)) * rng.choice((1, -1))
+        d = rng.getrandbits(rng.randint(1, 1300)) or 1
+        want = math.copysign(_reference_sqrt_ratio(2 * s * s, d), s)
+        assert reconstruct._sqrt2_ratio(s, d) == want, (s, d)
+
+
+def test_sqrt2_ratio_agrees_with_the_exact_path():
+    # Sizes from a few bits to beyond the double range both ways, so the
+    # results span zero, the subnormals, the normals and inf.
+    rng = random.Random(7)
+    for _ in range(20000):
+        s = rng.getrandbits(rng.randint(1, 1200)) * rng.choice((1, -1))
+        d = rng.getrandbits(rng.randint(1, 1300)) or 1
+        want = reconstruct._sqrt_ratio(2 * s * s, d)
+        assert reconstruct._sqrt2_ratio(s, d) == (-want if s < 0 else want), (s, d)
+
+
+def _near_midpoints(count: int, seed: int):
+    """Triples (s, d, want): sqrt(2) s / d lies just below or just above a
+    point halfway between two adjacent doubles, within 2^-139 of their
+    spacing, and rounds to ``want``, the neighbour on its side.  The
+    midpoints are normal, subnormal, and the one between the largest double
+    and 2^1024, above which rounding gives inf."""
+    rng = random.Random(seed)
+    mids = [(2 * rng.randrange(2**52, 2**53) + 1, rng.randint(-1075, 970)) for _ in range(count)]
+    mids += [(2 * rng.randrange(2**51) + 1, -1075) for _ in range(count // 10)]  # subnormal
+    mids.append((2**54 - 1, 970))
+    for mid, exp in mids:  # the midpoint mid 2^exp
+        d = rng.getrandbits(100) | 1 << 99
+        f = max(0, 40 - exp)
+        # floor(mid 2^exp d 2^f / sqrt(2)); never equal, as sqrt(2) is irrational
+        s = math.isqrt((mid * d) ** 2 << 2 * (exp + f) - 1)
+        try:
+            above = math.ldexp(mid + 1, exp)
+        except OverflowError:  # 2^1024
+            above = math.inf
+        yield s, d << f, math.ldexp(mid - 1, exp)
+        yield s + 1, d << f, above
+
+
+def test_sqrt2_ratio_near_midpoints_take_the_exact_path(monkeypatch):
+    exact_calls = []
+    exact = reconstruct._sqrt_ratio
+    monkeypatch.setattr(reconstruct, "_sqrt_ratio", lambda m, d: exact_calls.append(m) or exact(m, d))
+    cases = list(_near_midpoints(150, 11))
+    for s, d, want in cases:
+        assert reconstruct._sqrt2_ratio(s, d) == want, (s, d)
+    assert len(exact_calls) == len(cases)
+    # Ordinary coefficients settle on the bracket alone.
+    exact_calls.clear()
+    synthesize_coefficients(corpus.coefficients(corpus.builtin("normalized_rational"), 60, 1e-6, 5), 200)
+    assert len(exact_calls) <= 2
+
+
 # ----------------------------------------------------------------- energies
 
 
