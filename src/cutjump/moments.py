@@ -100,6 +100,15 @@ def _bernstein_rows(values: list) -> Iterator[list]:
         yield [(c * (-1 if (n - k) % 2 else 1)) * d for k, (c, d) in enumerate(zip(binom, diffs))]
 
 
+def _over_common_denominator(prefix: list, exact: bool) -> tuple[list, object]:
+    """Integers over one common denominator L for an exact prefix, with L; a
+    float prefix as it is, with 1.0.  The kernel then runs on integers."""
+    if not exact:
+        return prefix, 1.0
+    denom = math.lcm(*(v.denominator for v in prefix))
+    return [v.numerator * (denom // v.denominator) for v in prefix], denom
+
+
 def bernstein_weights(mu: MomentSequence, n: int) -> BernsteinRow:
     """Bernstein weight row of order n for the sequence mu.
 
@@ -108,9 +117,10 @@ def bernstein_weights(mu: MomentSequence, n: int) -> BernsteinRow:
     """
     if n < 0:
         raise InputError("row order must be >= 0")
-    for row in _bernstein_rows(mu.prefix(n)):
+    values, denom = _over_common_denominator(mu.prefix(n), mu.exact)
+    for row in _bernstein_rows(values):
         pass
-    return BernsteinRow(n, row)
+    return BernsteinRow(n, [Fraction(w, denom) for w in row] if mu.exact else row)
 
 
 @dataclass(frozen=True)
@@ -186,10 +196,9 @@ def hausdorff_check(mu: MomentSequence, n_max: int, p: float = DEFAULT_P_POWER) 
         msg = f"(n_max+1)^(p-1) overflows a double at n_max = {n_max}, p = {p:g}; choose a smaller p-exponent"
         raise InputError(f"p-exponent: {msg}") from None
     prefix = mu.prefix(n_max)
-    # Exact sequences run on integers over one common denominator, and w / denom
-    # rounds each weight once, as float(Fraction) does; 1.0 leaves a float as is.
-    denom = math.lcm(*(v.denominator for v in prefix)) if mu.exact else 1.0
-    values = [v.numerator * (denom // v.denominator) for v in prefix] if mu.exact else prefix
+    # w / denom rounds each exact weight once, as float(Fraction) does, and
+    # leaves a float as it is.
+    values, denom = _over_common_denominator(prefix, mu.exact)
     first_negative = None
     min_weight = math.inf
     stats: list[float] = []
@@ -201,11 +210,15 @@ def hausdorff_check(mu: MomentSequence, n_max: int, p: float = DEFAULT_P_POWER) 
             signs = row if mu.exact else row_f
             first_negative = next(((n, k) for k, w in enumerate(signs) if w < -tol), None)
         try:
-            stats.append((n + 1) ** (p - 1.0) * sum(abs(w) ** p for w in row_f))
+            stat = (n + 1) ** (p - 1.0) * sum(abs(w) ** p for w in row_f)
         except OverflowError:
+            stat = math.inf
+        # a product or sum of finite doubles overflows to inf without raising
+        if not math.isfinite(stat):
             raise InputError(
                 f"row {n}: the L^p statistic lies outside the double range; rescale the input coefficients"
-            ) from None
+            )
+        stats.append(stat)
     c_const = max(stats) ** (1.0 / p)
     decay_ok = all(
         abs(float(mu_n)) <= c_const / (n + 1) ** ((p - 1.0) / p) * (1.0 + 1e-12)

@@ -394,6 +394,21 @@ def test_moments_overflowing_exponent_exits_one_naming_it(tmp_path, capsys):
     assert not list(out.glob("*.json"))
 
 
+def test_moments_overflowing_lp_statistic_exits_one_naming_the_row(tmp_path, capsys):
+    # Row 16 of a constant sequence 2.0 has the finite factors 17^204 and
+    # 2^205, but their product overflows a double: exit 1 naming the row,
+    # not a JSON error naming the file.
+    f = tmp_path / "two.csv"
+    f.write_text("".join(f"{k},2.0\n" for k in range(31)))
+    out = tmp_path / "out"
+    argv = ["moments", "--input", str(f), "--f-mode", "none", "--p-exponent", "205", "--out", str(out)]
+    assert run_cli(argv) == cli.EXIT_ERROR
+    err = capsys.readouterr().err
+    assert "row 16: the L^p statistic lies outside the double range" in err
+    assert "JSON compliant" not in err
+    assert not list(out.glob("*.json"))
+
+
 @pytest.mark.parametrize(
     "field,value",
     [("n_coeffs", "60"), ("epsilon", None), ("n_max", 1.5), ("expect_positive", "no")],
