@@ -59,9 +59,9 @@ EXIT_POSITIVITY = 2
 MAX_N_COEFFS = 1000
 MAX_N_MAX = 800
 # Ceiling on a sweep's runs, len(n-list) * len(epsilons) * repeats, checked
-# before any cell is built.  In-process, a default noisy cell (N = 60,
-# n_max = 200) took a median 4.4 ms (5.0 ms noise-free) and the cheapest
-# (N = 1, n_max = 0) 0.4 ms on a 2-vCPU VM.
+# before any cell is built.  In-process, over three runs on a 2-vCPU VM, a
+# default noisy cell (N = 60, n_max = 200) took a median 1.6-2.9 ms
+# (1.9-3.3 ms noise-free) and the cheapest (N = 1, n_max = 0) 0.2-0.4 ms.
 MAX_SWEEP_CELLS = 10_000
 
 
@@ -378,24 +378,26 @@ def _sweep_cell(cell: tuple[int, RunConfig]) -> dict:
 
 
 # Estimated seconds of one sweep cell with N coefficients at depth n_max.
-# Synthesis makes N passes of big-integer additions over n_max + 1 sums whose
+# Synthesis makes up to N prefix-sum passes over n_max + 1 sums whose
 # integers grow with N, hence the N^2 n_max term.  The coefficients are a
 # least-squares fit (relative error) to steady in-process cell times on a
 # 2-vCPU VM, N in {1, 20, 60, 120, 250, 400, 700, 1000} x n_max in
-# {0, 50, 200, 400, 800}, noisy and noise-free: rms error 18%, worst 55%.
+# {0, 50, 200, 400, 800}, noisy and noise-free, each the geometric mean of
+# two passes over the grid: rms error 20%, worst 43%.
 def _cell_seconds(n: int, n_max: int) -> float:
-    return 6.7e-4 + 6.7e-6 * n + n_max * (6.3e-6 + n * (1.09e-7 + 8.8e-10 * n))
+    return 2.6e-4 + 3.1e-6 * n + n_max * (3.3e-6 + n * (4.4e-8 + 3.3e-10 * n))
 
 
 # Estimated serial work (s) below which a sweep runs in the calling process.
 # A pool pays for starting and stopping its workers (11-14 ms for two,
 # forked from a process that has imported cutjump.cli) and for each forked
 # worker's first cell, about twice a steady one.  Serial against a 2-worker
-# pool on N = 60 cells (about 4.3 ms each by the estimate), medians of 20
-# alternating pairs in one sitting on a 2-vCPU VM: 10 cells 48 vs 53 ms
-# (pool faster in 3/20), 14 cells 78 vs 66 (16/20), 16 cells 74 vs 70
-# (10/20), 20 cells 95 vs 88 (12/20), 40 cells 222 vs 166 (20/20).
-SWEEP_POOL_MIN_S = 0.05
+# pool on noisy cells at n_max = 200, medians of 20 alternating pairs in one
+# sitting on a 2-vCPU VM, by estimated serial work (two runs each, pool
+# faster in how many pairs): 20-24 N = 60 cells, 38-46 ms, 4-13/20; 26-28
+# cells, 50-54 ms, 10-16/20; 30-34 cells, 58-66 ms, 11-17/20.  Three N = 400
+# cells (49 ms) 8/20 at epsilon 1-1e-2 and 15/20 at 1e-3-1e-7.
+SWEEP_POOL_MIN_S = 0.045
 
 
 def _worker_count(cells: list[tuple[int, RunConfig]]) -> int:

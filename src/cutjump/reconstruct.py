@@ -15,8 +15,13 @@ is a dyadic rational and the q_n^(k) are integers, so the sums are integers
 over one common denominator, and each c_n is rounded once.  The q_n^(k) are
 never tabulated.  Their generating function, sum_n q_n^(k) t^n =
 (1 - t)^k / (1 + t)^{k+1} (Koekoek, Lesky and Swarttouw 2010, sec. 9.7),
-turns the whole sum over k into one Horner scheme in u = (1 - t)/(1 + t)
-whose steps are passes of big-integer additions (``_exact_sums``).
+turns the whole sum over k into a polynomial in u = (1 - t)/(1 + t).  In
+y = t/(1 - t) that polynomial is a Taylor shift of the weights (von zur
+Gathen and Gerhard 1997), and Horner's scheme in y needs one prefix sum per
+step: big-integer additions only (``_exact_sums``).  The final rounding
+brackets sqrt(2) between two 64-bit integers and keeps the exact square
+root for the rare coefficient whose bracket straddles a rounding boundary
+(Ziv 1991; ``_sqrt2_ratio``).
 
 Sign convention: the expansion coefficients and basis functions each carry a
 phase i^n; their product is real, equal to (-1)^n times the rotated real
