@@ -100,7 +100,7 @@ def _bernstein_rows(values: list) -> Iterator[list]:
         yield [(c * (-1 if (n - k) % 2 else 1)) * d for k, (c, d) in enumerate(zip(binom, diffs))]
 
 
-def _over_common_denominator(prefix: list, exact: bool) -> tuple[list, object]:
+def _over_common_denominator(prefix: list, exact: bool) -> tuple[list, int | float]:
     """Integers over one common denominator L for an exact prefix, with L; a
     float prefix as it is, with 1.0.  The kernel then runs on integers."""
     if not exact:

@@ -46,11 +46,10 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from itertools import accumulate, chain
+from itertools import accumulate
 from typing import Callable, Sequence
 
 import numpy as np
@@ -186,9 +185,10 @@ def _sqrt2_ratio(s: int, d: int) -> float:
     scale = 1 << (_SQRT2_BITS + e)
     try:
         x = _SQRT2_FLOOR * t / scale
-        if x != (_SQRT2_FLOOR + 1) * (t + 1) / scale:
-            x = _sqrt_ratio(2 * a * a, d)
-    except OverflowError:
+        settled = x == (_SQRT2_FLOOR + 1) * (t + 1) / scale
+    except OverflowError:  # an end lies beyond the double range
+        settled = False
+    if not settled:
         x = _sqrt_ratio(2 * a * a, d)
     return -x if s < 0 else x
 
