@@ -392,11 +392,11 @@ def _cell_seconds(n: int, n_max: int) -> float:
 # A pool pays for starting and stopping its workers (11-14 ms for two,
 # forked from a process that has imported cutjump.cli) and for each forked
 # worker's first cell, about twice a steady one.  Serial against a 2-worker
-# pool on noisy cells at n_max = 200, medians of 20 alternating pairs in one
-# sitting on a 2-vCPU VM, by estimated serial work (two runs each, pool
-# faster in how many pairs): 20-24 N = 60 cells, 38-46 ms, 4-13/20; 26-28
-# cells, 50-54 ms, 10-16/20; 30-34 cells, 58-66 ms, 11-17/20.  Three N = 400
-# cells (49 ms) 8/20 at epsilon 1-1e-2 and 15/20 at 1e-3-1e-7.
+# pool, 20 alternating pairs per size in one sitting on a 2-vCPU VM, noisy
+# cells of N = 60 to 66 at n_max = 200.  Pairs the pool won, by estimated
+# serial work, over two runs: 38-46 ms 4-13 of 20, 50-54 ms 10-16, 58-66 ms
+# 11-17.  Three N = 400 cells (49 ms): 8 of 20 at epsilon 1 to 1e-2, 15 at
+# 1e-3 to 1e-7.  The break-even lies at about 40-55 ms.
 SWEEP_POOL_MIN_S = 0.045
 
 
