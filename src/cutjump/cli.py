@@ -251,7 +251,7 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_samples_csv(path: Path, header: list[str], samples: list[list[float]]) -> None:
+def _write_samples_csv(path: Path, header: list[str], samples: list[tuple[float, ...]]) -> None:
     """The report's sample rows as CSV, each float in its shortest repr."""
     lines = [",".join(header), *(",".join(map(repr, row)) for row in samples)]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -29,8 +29,9 @@ sum.  That (-1)^n is folded into the stored c_n, so every reported
 coefficient and sample is a plain float and the reconstruction is simply
 sum_n c_n phi_n(x), with phi_n the rows of ``phi_matrix``.
 
-Shared state: besides the read-only ``default_grid``, built once, one
-process-wide cache (``_basis``), the package's only growing one, holds
+Shared state: besides the read-only grids ``default_grid`` and
+``thermal.default_v_grid``, each built once, one process-wide cache
+(``_basis``), the package's only growing one, holds
 read-only basis matrices, keyed by the builder and the shape and bytes
 of the abscissa array.  Every report resums on the same fixed grid, and the
 integral checks' quadrature nodes fall on one dyadic lattice in t = 1/x, so
@@ -116,8 +117,10 @@ def _exact_sums(values: np.ndarray, n_max: int) -> tuple[list[int], int]:
     starts at t^j, only j <= min(K-1, n_max) matter.  Horner's scheme in y
     then multiplies by y = t/(1 - t), a shift and one prefix sum per b_j,
     truncated at t^{n_max} (each step is lower-triangular in t, so the
-    truncation is exact), and a last prefix sum divides by 1 - t.  No step
-    multiplies.
+    truncation is exact).  The accumulator carries the division by 1 - t
+    from the start: it holds the Horner partial sum over (1 - t), so each
+    step adds b_j / (1 - t), which is b_j at every power, as the initial
+    value of its prefix sum.  No step multiplies.
     """
     ratios = [float(v).as_integer_ratio() for v in values]
     shift = max(den.bit_length() - 1 for _, den in ratios)
@@ -133,12 +136,9 @@ def _exact_sums(values: np.ndarray, n_max: int) -> tuple[list[int], int]:
     for j in range(min(len(weights) - 1, n_max) + 1):
         shifted = list(accumulate(shifted))
         b.append(shifted.pop() << j)
-    acc = [0] * (n_max + 1)
-    acc[0] = b.pop()
+    sums = [b.pop()] * (n_max + 1)
     for b_j in reversed(b):
-        acc = list(accumulate(acc[:-1], initial=0))
-        acc[0] = b_j
-    sums = list(accumulate(acc))
+        sums = list(accumulate(sums[:-1], initial=b_j))
     sums[1::2] = [-s for s in sums[1::2]]
     return sums, fact << shift
 
@@ -283,17 +283,14 @@ class PlateauResult:
 
 
 def _flat_runs(growth: np.ndarray, theta: float) -> list[tuple[int, int]]:
-    runs = []
-    start = None
-    for m, flat in enumerate(growth <= theta):
-        if flat and start is None:
-            start = m
-        if not flat and start is not None:
-            runs.append((start, m))
-            start = None
-    if start is not None:
-        runs.append((start, len(growth)))
-    return runs
+    """Maximal runs [start, stop) of steps with ``growth <= theta``.
+
+    A run starts where the mask, padded with False at both ends, turns on
+    and stops where it turns off, so the edges alternate start, stop.
+    """
+    flat = np.concatenate(([False], growth <= theta, [False]))
+    edges = np.flatnonzero(flat[1:] != flat[:-1]).tolist()
+    return list(zip(edges[::2], edges[1::2]))
 
 
 def _energy_decay_exponent(c_sq: np.ndarray, lo: int, hi: int) -> float:
@@ -302,21 +299,25 @@ def _energy_decay_exponent(c_sq: np.ndarray, lo: int, hi: int) -> float:
     Bins of five indices with a max inside each bin, so isolated
     near-zero coefficients (the expansion oscillates through zero) do not
     drag the fit.  Returns the decay exponent p in c^2 ~ m^-p.
+
+    The bins are ``np.array_split``'s (the first ``len % n_bins`` hold one
+    extra index, none is empty), and each bin's midpoint (first + last) / 2
+    is exactly the mean of its consecutive indices.
     """
     if hi - lo < 4:
         return 0.0
-    idx = np.arange(lo, hi + 1)
     seg = c_sq[lo : hi + 1]
     n_bins = max(3, len(seg) // 5)
-    mids, tops = [], []
-    for chunk_i, chunk_m in zip(np.array_split(seg, n_bins), np.array_split(idx, n_bins)):
-        top = chunk_i.max()
-        if top > 0.0:
-            tops.append(top)
-            mids.append(chunk_m.mean())
-    if len(tops) < 3:
+    size, extra = divmod(len(seg), n_bins)
+    bins = np.arange(n_bins)
+    starts = bins * size + np.minimum(bins, extra)
+    lasts = np.append(starts[1:], len(seg)) - 1
+    tops = np.maximum.reduceat(seg, starts)
+    keep = tops > 0.0
+    if np.count_nonzero(keep) < 3:
         return 0.0
-    slope = np.polyfit(np.log(mids), np.log(tops), 1)[0]
+    mids = (2 * lo + starts[keep] + lasts[keep]) / 2
+    slope = np.polyfit(np.log(mids), np.log(tops[keep]), 1)[0]
     return float(-slope)
 
 
@@ -603,7 +604,14 @@ def density_check(j: Callable) -> DensityReport:
 
 def _report_dict(report, c_key: str, grid_key: str, errors_key: str) -> dict:
     """The JSON-ready form shared by both report types; the keys name the
-    fields that differ between them (and are the JSON keys too)."""
+    fields that differ between them (and are the JSON keys too).
+
+    Each sample row is a tuple of floats, not a list: a tuple of untracked
+    objects leaves the garbage collector's tracking at its first pass, so
+    the thousands of rows a report holds neither fill the young generation
+    nor get promoted to trigger full collections in a long-running process.
+    ``json.dumps`` writes tuples as arrays, so the text is the same.
+    """
     errors = getattr(report, errors_key)
     columns = [getattr(report, grid_key), report.j_rec]
     if report.j_true is not None:
@@ -616,7 +624,7 @@ def _report_dict(report, c_key: str, grid_key: str, errors_key: str) -> dict:
         "m_t": report.m_t,
         "confident": report.confident,
         "decay_exponent": report.decay_exponent,
-        "samples": np.column_stack(columns).tolist(),
+        "samples": list(zip(*(col.tolist() for col in columns))),
         errors_key: errors.to_dict() if errors is not None else None,
     }
 

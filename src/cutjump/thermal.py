@@ -16,6 +16,7 @@ it needs no pipeline of its own.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -110,9 +111,17 @@ def psi_matrix(n_max: int, vs) -> np.ndarray:
     return rows
 
 
+@functools.cache
 def default_v_grid() -> np.ndarray:
-    """The thermal sample grid: ``V_POINTS`` equispaced points on [0, V_MAX]."""
-    return np.linspace(0.0, V_MAX, V_POINTS)
+    """The thermal sample grid: ``V_POINTS`` equispaced points on [0, V_MAX].
+
+    Built once per process, like ``reconstruct.default_grid``; every call
+    returns that same read-only array, so callers that need to write must
+    copy it.
+    """
+    grid = np.linspace(0.0, V_MAX, V_POINTS)
+    grid.setflags(write=False)
+    return grid
 
 
 def reconstruct_thermal(frak_c: np.ndarray, m_t: int, vs) -> np.ndarray:

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import math
@@ -31,6 +32,7 @@ from cutjump.reconstruct import (
     synthesize_coefficients,
 )
 from cutjump.specfun import integrate_adaptive, laguerre_scaled_seq
+from plateau_loops import energy_decay_exponent_loop, flat_runs_loop
 from rotated import rotated_closed_form
 
 
@@ -425,6 +427,56 @@ def test_known_energy_cross_validates_heuristic(noisy7_report):
     assert a <= m_literal <= b
 
 
+def _random_growth(rng, theta):
+    """Relative growth steps: flat with a random probability (0 and 1
+    included), some steps exactly at theta, some far above it."""
+    n = int(rng.integers(1, 300))
+    p_flat = rng.choice([0.0, 1.0, rng.random()])
+    growth = np.where(rng.random(n) < p_flat, theta * rng.random(n), theta * 10.0 ** rng.uniform(0.0, 4.0, n))
+    growth[rng.random(n) < 0.05] = theta
+    return growth
+
+
+def test_flat_runs_match_the_loop_oracle():
+    rng = np.random.default_rng(24)
+    cases = [np.full(40, 1e-5), np.full(40, 0.2), np.r_[np.full(7, 0.2), np.full(9, 0.0)], np.array([1e-3])]
+    cases += [_random_growth(rng, 1e-3) for _ in range(3000)]
+    for growth in cases:
+        runs = reconstruct._flat_runs(growth, 1e-3)
+        assert runs == flat_runs_loop(growth, 1e-3)
+        assert all(type(a) is int and type(b) is int for a, b in runs)
+
+
+def _random_window(rng):
+    """c_n^2 with a power-law envelope, random oscillation and blocks of
+    exact zeros (so some bins have maximum 0), and a window [lo, hi] of
+    1 to 260 indices inside it."""
+    span = int(rng.integers(1, 261))
+    lo = int(rng.integers(0, 40))
+    length = lo + span + int(rng.integers(0, 40))
+    n = np.arange(length)
+    c_sq = (n + 1.0) ** -rng.uniform(0.5, 6.0) * rng.random(length) ** 2
+    for _ in range(int(rng.integers(0, 4))):
+        a = int(rng.integers(0, length))
+        c_sq[a : a + int(rng.integers(1, 30))] = 0.0
+    if rng.random() < 0.02:
+        c_sq[:] = 0.0
+    return c_sq, lo, lo + span - 1
+
+
+def test_energy_decay_exponent_matches_the_loop_oracle_bit_for_bit(normalized60_report):
+    rng = np.random.default_rng(2024)
+    rep = normalized60_report
+    cases = [(np.diff(rep.M, prepend=0.0), rep.plateau[0], rep.m_t)]
+    cases += [_random_window(rng) for _ in range(3000)]
+    lengths = set()
+    for c_sq, lo, hi in cases:
+        got = reconstruct._energy_decay_exponent(c_sq, lo, hi)
+        assert got.hex() == energy_decay_exponent_loop(c_sq, lo, hi).hex(), (lo, hi)
+        lengths.add(hi - lo + 1)
+    assert {5, 260} <= lengths
+
+
 # -------------------------------------------------------------------- basis
 
 
@@ -803,6 +855,21 @@ def test_report_shape_and_flags(normalized60_report):
     d = rep.to_dict()
     assert set(d) >= {"c", "M", "plateau", "m_t", "samples", "errors"}
     assert len(d["samples"][0]) == 3  # truth known -> [x, J_rec, J_true]
+
+
+@pytest.mark.parametrize(
+    "fixture, cfg",
+    [("normalized60_report", ("normalized_rational", 60)), ("thermal60_report", ("thermal_boson_demo", 60))],
+)
+def test_report_sample_rows_are_untracked_tuples(request, fixture, cfg):
+    # Tuples of floats leave the collector's tracking, so a report's rows
+    # set off no collections; the strict JSON is the one recorded above.
+    d = request.getfixturevalue(fixture).to_dict()
+    assert all(type(row) is tuple for row in d["samples"])
+    gc.collect()
+    assert not any(gc.is_tracked(row) for row in d["samples"])
+    digest = hashlib.sha256(json.dumps(d, allow_nan=False).encode()).hexdigest()
+    assert digest == EXACT_GATE[cfg][1]
 
 
 def test_degenerate_single_coefficient_run_is_flagged():

@@ -93,6 +93,15 @@ def test_psi_zero_normalized():
 # ----------------------------------------------------------- reconstruction
 
 
+def test_default_v_grid_is_one_read_only_array():
+    grid = thermal.default_v_grid()
+    assert grid is thermal.default_v_grid()
+    assert not grid.flags.writeable
+    with pytest.raises(ValueError):
+        grid[0] = 1.0
+    assert grid.tobytes() == np.linspace(0.0, thermal.V_MAX, thermal.V_POINTS).tobytes()
+
+
 def test_reconstruct_thermal_zeros_and_bounds():
     vs = np.linspace(0.0, 5.0, 50)
     assert np.all(reconstruct_thermal(np.zeros(4), 3, vs) == 0.0)
