@@ -338,9 +338,8 @@ def cmd_run(command: str, config: RunConfig) -> int:
     if config.emit in ("csv", "both"):
         header = [var, "J_rec"] + (["J_true"] if report.j_true is not None else [])
         _write_samples_csv(out_dir / f"{stem}_samples.csv", header, payload["samples"])
-    plateau = report.plateau if report.plateau is not None else "none"
     err = f", {label}={errors.l2_rel:.4f}" if errors and errors.l2_rel else ""
-    print(f"{command}: plateau={plateau}, m_t={report.m_t}, confident={report.confident}{err}")
+    print(f"{command}: plateau={report.plateau}, m_t={report.m_t}, confident={report.confident}{err}")
     return EXIT_OK
 
 
@@ -419,7 +418,7 @@ def _worker_count(cells: list[tuple[int, RunConfig]]) -> int:
         cap = os.cpu_count() or 1
     if sum(_cell_seconds(c.n_coeffs, c.n_max) for _, c in cells) < SWEEP_POOL_MIN_S:
         return 1
-    return max(1, min(cap, len(cells)))
+    return min(cap, len(cells))
 
 
 def cmd_sweep(sweep: SweepConfig) -> int:
@@ -441,7 +440,6 @@ def cmd_sweep(sweep: SweepConfig) -> int:
             import numpy.random  # noqa: F401  (add_noise's generator)
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_cell, cells))
-    rows.sort(key=lambda r: (r["N"], r["epsilon"], r["repeat"]))
     lines = [",".join(SWEEP_COLUMNS)]
     for row in rows:
         lines.append(",".join(_fmt(row[col]) for col in SWEEP_COLUMNS))

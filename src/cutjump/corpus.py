@@ -167,16 +167,14 @@ class CoefficientSet:
     """A finite, possibly noisy coefficient prefix.
 
     ``values[j]`` is g_{start_index + j}; power-series data starts at index
-    0, thermal data at index 1.  ``epsilon`` bounds |g_k - clean_k| when the
-    set was generated with noise.  ``exact_rule`` is carried along for sets
-    derived from a built-in with epsilon = 0 so exact-rational diagnostics
-    stay available.
+    0, thermal data at index 1, and the last index ``N`` follows from the
+    length.  ``epsilon`` bounds |g_k - clean_k| when the set was generated
+    with noise.  ``exact_rule`` is carried along for sets derived from a
+    built-in with epsilon = 0 so exact-rational diagnostics stay available.
     """
 
     values: np.ndarray
-    N: int
     epsilon: float = 0.0
-    seed: int | None = None
     source: str = ""
     start_index: int = 0
     exact_rule: Callable[[int], Fraction] | None = None
@@ -188,11 +186,11 @@ class CoefficientSet:
         if not np.all(np.isfinite(vals)):
             raise InputError("coefficient sets must not contain NaN or Inf")
         object.__setattr__(self, "values", vals)
-        expected = self.N - self.start_index + 1
-        if vals.size != expected:
-            raise InputError(
-                f"expected {expected} values for indices {self.start_index}..{self.N}, got {vals.size}"
-            )
+
+    @property
+    def N(self) -> int:
+        """The index of the last coefficient."""
+        return self.start_index + len(self.values) - 1
 
 
 def coefficients(
@@ -204,9 +202,7 @@ def coefficients(
     clean = np.array([spec.coefficient_rule(k) for k in range(spec.start_index, N + 1)])
     cs = CoefficientSet(
         values=clean,
-        N=N,
         epsilon=0.0,
-        seed=None,
         source=spec.id,
         start_index=spec.start_index,
         exact_rule=spec.exact_rule,
@@ -235,9 +231,7 @@ def add_noise(clean: CoefficientSet, epsilon: float, seed: int) -> CoefficientSe
     noise = rng.uniform(-epsilon, epsilon, clean.values.size)
     return CoefficientSet(
         values=clean.values + noise,
-        N=clean.N,
         epsilon=clean.epsilon + epsilon,
-        seed=seed,
         source=clean.source,
         start_index=clean.start_index,
         exact_rule=None,
@@ -309,9 +303,7 @@ def _load(path, expected_start: int) -> CoefficientSet:
     values = np.array([v for _, v in pairs])
     return CoefficientSet(
         values=values,
-        N=pairs[-1][0],
         epsilon=eps,
-        seed=None,
         source=str(path),
         start_index=expected_start,
     )

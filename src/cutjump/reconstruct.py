@@ -4,9 +4,10 @@ Pipeline: synthesize expansion coefficients c_n from the series data in
 exact integer arithmetic, locate the plateau of the partial energies M_m,
 truncate there, and resum the Laguerre-type basis on a sample grid.  The
 thermal variant runs the same pipeline core (``_run_pipeline``) with its
-own grid, resummation and error metric.  Independent integral checks
-(Mellin, Cauchy, probability density) let callers validate a
-reconstruction without knowing the truth.
+own grid, resummation and error metric; the core returns the report, whose
+shared fields and JSON form live on one base (``_Report``).  Independent
+integral checks (Mellin, Cauchy, probability density) let callers validate
+a reconstruction without knowing the truth.
 
 Synthesis: c_n is sqrt(2) times an alternating sum over k of g_k q_n^(k)/k!,
 with q_n^(k) the rotated Meixner-Pollaczek values at lambda = 1/2.  The sum
@@ -51,7 +52,7 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Callable, Sequence
+from typing import Callable, ClassVar, Sequence
 
 import numpy as np
 
@@ -213,27 +214,19 @@ def _in_range(a: np.ndarray, name: str) -> np.ndarray:
     return a
 
 
-def synthesize_raw(values: np.ndarray, n_max: int) -> SynthesisResult:
-    """Exact synthesis of (-1)^n sqrt(2) sum_k (-1)^k v_k q_n^{(k)} / k!, n <= n_max.
-
-    The sums S_n / D are exact (see ``_exact_sums``), and each coefficient,
-    sqrt(2) S_n / D, is rounded to a double once by ``_sqrt2_ratio``.  The
-    (-1)^n is the phase-product factor of the reconstruction coefficients.
-    """
-    sums, d = _checked_sums(values, n_max)
-    c = np.array([_sqrt2_ratio(s, d) for s in sums])
-    c[1::2] = -c[1::2]
-    return SynthesisResult(c=_in_range(c, "c"))
-
-
 def synthesize_coefficients(g: CoefficientSet | np.ndarray, n_max: int = DEFAULT_N_MAX) -> SynthesisResult:
     """Expansion coefficients c_0..c_{n_max} from series coefficients.
 
     c_n = (-1)^n sqrt(2) sum_{k=0}^{N} (-1)^k g_k q_n^{(k)} / k!, the real
     number such that the reconstruction is sum c_n phi_n(x) (see ``phi_matrix``).
+    The sums S_n / D are exact (see ``_exact_sums``), and each coefficient,
+    sqrt(2) S_n / D, is rounded to a double once by ``_sqrt2_ratio``.
     """
-    values = g.values if isinstance(g, CoefficientSet) else np.asarray(g, dtype=float)
-    return synthesize_raw(values, n_max)
+    values = g.values if isinstance(g, CoefficientSet) else g
+    sums, d = _checked_sums(values, n_max)
+    c = np.array([_sqrt2_ratio(s, d) for s in sums])
+    c[1::2] = -c[1::2]
+    return SynthesisResult(c=_in_range(c, "c"))
 
 
 def partial_energies(c: np.ndarray) -> np.ndarray:
@@ -273,12 +266,10 @@ class PlateauPolicy:
 class PlateauResult:
     """Detected plateau band, truncation index, and confidence."""
 
-    plateau: tuple[int, int] | None
+    plateau: tuple[int, int]
     m_t: int
     confident: bool
-    has_run: bool
     run: tuple[int, int] | None
-    level: float
     decay_exponent: float
 
 
@@ -354,7 +345,7 @@ def detect_plateau(M: Sequence[float], policy: PlateauPolicy | None = None) -> P
     if M.ndim != 1 or M.size == 0:
         raise InputError("partial energies must be a non-empty 1-D array")
     if M.size == 1:
-        return PlateauResult((0, 0), 0, False, False, None, float(M[0]), 0.0)
+        return PlateauResult((0, 0), 0, False, None, 0.0)
     if np.any(np.diff(M) < 0.0):
         raise InputError("partial energies must be nondecreasing")
 
@@ -377,7 +368,7 @@ def detect_plateau(M: Sequence[float], policy: PlateauPolicy | None = None) -> P
         fit_hi = min(m_t, max(a0 + 2 * policy.w_min, (a0 + m_t) // 2))
         p_hat = _energy_decay_exponent(c_sq, a0, fit_hi)
         confident = p_hat >= MIN_DECAY_EXPONENT
-        return PlateauResult(_band(M, m_t), m_t, confident, True, (a0, b0), float(M[m_t]), p_hat)
+        return PlateauResult(_band(M, m_t), m_t, confident, (a0, b0), p_hat)
 
     # No qualifying run: fall back to the flattest smoothed window before
     # the divergence guard.
@@ -387,7 +378,7 @@ def detect_plateau(M: Sequence[float], policy: PlateauPolicy | None = None) -> P
     seg = smoothed[:hi]
     m_t = int(seg.size - 1 - np.argmin(seg[::-1]))  # ties -> later
     p_hat = _energy_decay_exponent(c_sq, max(0, m_t - 2 * policy.w_min), m_t)
-    return PlateauResult(_band(M, m_t), m_t, False, False, None, float(M[m_t]), p_hat)
+    return PlateauResult(_band(M, m_t), m_t, False, None, p_hat)
 
 
 # --------------------------------------------------------------------------
@@ -602,87 +593,99 @@ def density_check(j: Callable) -> DensityReport:
 # --------------------------------------------------------------------------
 
 
-def _report_dict(report, c_key: str, grid_key: str, errors_key: str) -> dict:
-    """The JSON-ready form shared by both report types; the keys name the
-    fields that differ between them (and are the JSON keys too).
+@dataclass(frozen=True, kw_only=True)
+class _Report:
+    """The fields both report types share, and their JSON-ready form.
 
-    Each sample row is a tuple of floats, not a list: a tuple of untracked
-    objects leaves the garbage collector's tracking at its first pass, so
-    the thousands of rows a report holds neither fill the young generation
-    nor get promoted to trigger full collections in a long-running process.
-    ``json.dumps`` writes tuples as arrays, so the text is the same.
+    Each variant adds its coefficients, its sample grid and its error
+    metric, and names those three fields in ``_KEYS``; the names are the
+    JSON keys too.  The fields are keyword-only, so a variant's own fields
+    need no defaults.
     """
-    errors = getattr(report, errors_key)
-    columns = [getattr(report, grid_key), report.j_rec]
-    if report.j_true is not None:
-        columns.append(report.j_true)
-    return {
-        "source": report.source,
-        c_key: getattr(report, c_key).tolist(),
-        "M": report.M.tolist(),
-        "plateau": list(report.plateau) if report.plateau is not None else None,
-        "m_t": report.m_t,
-        "confident": report.confident,
-        "decay_exponent": report.decay_exponent,
-        "samples": list(zip(*(col.tolist() for col in columns))),
-        errors_key: errors.to_dict() if errors is not None else None,
-    }
 
+    _KEYS: ClassVar[tuple[str, str, str]]
 
-@dataclass(frozen=True)
-class ReconstructionReport:
-    """Everything one run produces, JSON-ready via ``to_dict``."""
-
-    c: np.ndarray
     M: np.ndarray
-    plateau: tuple[int, int] | None
+    plateau: tuple[int, int]
     m_t: int
     confident: bool
-    xs: np.ndarray
     j_rec: np.ndarray
     j_true: np.ndarray | None = None
-    errors: ErrorReport | None = None
     source: str = ""
     decay_exponent: float = 0.0
 
     def to_dict(self) -> dict:
-        return _report_dict(self, "c", "xs", "errors")
+        """The JSON-ready form.
+
+        Each sample row is a tuple of floats, not a list: a tuple of
+        untracked objects leaves the garbage collector's tracking at its
+        first pass, so the thousands of rows a report holds neither fill the
+        young generation nor get promoted to trigger full collections in a
+        long-running process.  ``json.dumps`` writes tuples as arrays, so the
+        text is the same.
+        """
+        c_key, grid_key, errors_key = self._KEYS
+        errors = getattr(self, errors_key)
+        columns = [getattr(self, grid_key), self.j_rec]
+        if self.j_true is not None:
+            columns.append(self.j_true)
+        return {
+            "source": self.source,
+            c_key: getattr(self, c_key).tolist(),
+            "M": self.M.tolist(),
+            "plateau": list(self.plateau),
+            "m_t": self.m_t,
+            "confident": self.confident,
+            "decay_exponent": self.decay_exponent,
+            "samples": list(zip(*(col.tolist() for col in columns))),
+            errors_key: errors.to_dict() if errors is not None else None,
+        }
+
+
+@dataclass(frozen=True, kw_only=True)
+class ReconstructionReport(_Report):
+    """Everything one run produces, JSON-ready via ``to_dict``."""
+
+    _KEYS = ("c", "xs", "errors")
+
+    c: np.ndarray
+    xs: np.ndarray
+    errors: ErrorReport | None = None
 
 
 def _run_pipeline(
-    values: np.ndarray,
+    report: type[_Report],
+    g: CoefficientSet,
     n_max: int,
     policy: PlateauPolicy | None,
     xs: np.ndarray,
     resum: Callable,
     truth: Callable | None,
     error: Callable,
-) -> dict:
-    """The pipeline both variants share, returning the report fields under
-    the power-series names.
+) -> _Report:
+    """The pipeline both variants share, returning a ``report`` of ``g``.
 
     Synthesis, energies, plateau and confidence, then resummation on ``xs``
     and, given a truth, its samples and ``error(xs, j_rec, truth)``.
     """
-    synth = synthesize_raw(values, n_max)
-    M = partial_energies(synth.c)
+    c = synthesize_coefficients(g, n_max).c
+    M = partial_energies(c)
     det = detect_plateau(M, policy)
-    j_rec = resum(synth.c, det.m_t, xs)
+    j_rec = resum(c, det.m_t, xs)
     j_true = None
     errors = None
     if truth is not None:
         j_true = truth(xs)
         errors = error(xs, j_rec, truth)
-    return dict(
-        c=synth.c,
+    return report(
+        **dict(zip(report._KEYS, (c, xs, errors))),
         M=M,
         plateau=det.plateau,
         m_t=det.m_t,
-        confident=det.confident and values.size >= 2,  # single-coefficient runs are degenerate
-        xs=xs,
+        confident=det.confident and g.values.size >= 2,  # single-coefficient runs are degenerate
         j_rec=j_rec,
         j_true=j_true,
-        errors=errors,
+        source=g.source,
         decay_exponent=det.decay_exponent,
     )
 
@@ -694,5 +697,6 @@ def build_report(
     truth: JumpGroundTruth | None = None,
 ) -> ReconstructionReport:
     """Run the full pipeline on a coefficient set, on ``default_grid()``."""
-    fields = _run_pipeline(g.values, n_max, policy, default_grid(), reconstruct_jump, truth, l2_error)
-    return ReconstructionReport(source=g.source, **fields)
+    return _run_pipeline(
+        ReconstructionReport, g, n_max, policy, default_grid(), reconstruct_jump, truth, l2_error
+    )

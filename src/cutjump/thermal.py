@@ -4,7 +4,9 @@ The input is the positive-frequency half of a boson Matsubara-type Fourier
 coefficient sequence, indexed from k = 1.  The pipeline is the power-series
 one (``reconstruct._run_pipeline``: synthesis, energies, plateau
 truncation, resummation, error) run on the shifted sequence h_k = g_{k+1};
-only the grid, the resummation and the error metric differ.  The basis
+only the grid, the resummation and the error metric differ, and the report
+holds the coefficients, grid and error as ``frak_c``, ``vs`` and
+``weighted_errors``.  The basis
 lives in the logarithmic variable v = ln x, convergence holds in L^2 with
 weight e^{-v}, and the period is fixed at 2*pi by the standard rescaling of
 the imaginary-time variable, so a problem carries no period field (general
@@ -34,10 +36,10 @@ from .reconstruct import (
     _checked_sums,
     _head,
     _in_range,
-    _report_dict,
+    _Report,
     _run_pipeline,
     _trapezoid_l2,
-    synthesize_raw,
+    synthesize_coefficients,
 )
 from .specfun import laguerre_scaled_seq, ln_gamma_complex, mp_real_seq
 
@@ -89,7 +91,7 @@ def synthesize_thermal(problem: ThermalProblem, n_max: int = DEFAULT_N_MAX) -> S
     Identical to the power-series synthesis applied to h; the stored values
     follow the same real phase-product convention.
     """
-    return synthesize_raw(problem.coefficients.values, n_max)
+    return synthesize_coefficients(problem.coefficients, n_max)
 
 
 def _thermal_rows(n_max: int, vs: np.ndarray) -> np.ndarray:
@@ -174,24 +176,15 @@ def gtilde_line_expansion(d_hat: np.ndarray, m_t: int, nus) -> np.ndarray:
     return gamma_vals * series / math.sqrt(math.pi)
 
 
-@dataclass(frozen=True)
-class ThermalReport:
+@dataclass(frozen=True, kw_only=True)
+class ThermalReport(_Report):
     """Thermal pipeline output, JSON-ready via ``to_dict``."""
 
-    frak_c: np.ndarray
-    M: np.ndarray
-    plateau: tuple[int, int] | None
-    m_t: int
-    confident: bool
-    vs: np.ndarray
-    j_rec: np.ndarray
-    j_true: np.ndarray | None = None
-    weighted_errors: ErrorReport | None = None
-    source: str = ""
-    decay_exponent: float = 0.0
+    _KEYS = ("frak_c", "vs", "weighted_errors")
 
-    def to_dict(self) -> dict:
-        return _report_dict(self, "frak_c", "vs", "weighted_errors")
+    frak_c: np.ndarray
+    vs: np.ndarray
+    weighted_errors: ErrorReport | None = None
 
 
 def build_thermal_report(
@@ -201,14 +194,7 @@ def build_thermal_report(
 ) -> ThermalReport:
     """Run the full thermal pipeline on a problem: the power-series pipeline
     on h_k = g_{k+1}, resummed on ``default_v_grid()`` and scored in v = ln x."""
-    values = problem.coefficients.values
-    fields = _run_pipeline(
-        values, n_max, policy, default_v_grid(), reconstruct_thermal, problem.truth, weighted_l2_error
-    )
-    return ThermalReport(
-        frak_c=fields.pop("c"),
-        vs=fields.pop("xs"),
-        weighted_errors=fields.pop("errors"),
-        source=problem.coefficients.source,
-        **fields,
+    return _run_pipeline(
+        ThermalReport, problem.coefficients, n_max, policy,
+        default_v_grid(), reconstruct_thermal, problem.truth, weighted_l2_error,
     )

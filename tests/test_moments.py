@@ -181,7 +181,7 @@ def test_hausdorff_rejects_bad_p():
 
 
 def test_f_sequence_zero_passes():
-    cs = corpus.CoefficientSet(values=np.zeros(12), N=11)
+    cs = corpus.CoefficientSet(values=np.zeros(12))
     report = check_f_sequence(cs, "k_plus_1")
     assert report.positivity_ok
 
@@ -233,6 +233,6 @@ def test_f_sequence_none_needs_data_from_zero():
 
 
 def test_f_sequence_unknown_mode():
-    cs = corpus.CoefficientSet(values=np.ones(3), N=2)
+    cs = corpus.CoefficientSet(values=np.ones(3))
     with pytest.raises(InputError):
         check_f_sequence(cs, "bogus")

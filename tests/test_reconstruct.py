@@ -370,12 +370,10 @@ def test_partial_energies_monotone_and_dominate_terms(c):
 def test_detect_plateau_toy_example():
     M = np.array([1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 100.0])
     det = detect_plateau(M)
-    assert det.has_run
     assert det.run == (0, 5)
     assert det.plateau == (0, 5)
     # the truncation point backs half a window into the run interior
     assert det.m_t == 2
-    assert M[det.m_t] >= (1 - 0.04) * det.level
 
 
 def test_detect_plateau_prefers_later_equal_run():
@@ -400,7 +398,7 @@ def test_detect_plateau_ignores_post_divergence_shelf():
 def test_detect_plateau_no_run_flags_low_confidence():
     M = np.cumsum(np.ones(30) * 5.0)  # steady large growth
     det = detect_plateau(M)
-    assert not det.has_run
+    assert det.run is None
     assert not det.confident
     assert det.plateau is not None  # band still reported
     assert 0 <= det.m_t < 30
@@ -873,7 +871,7 @@ def test_report_sample_rows_are_untracked_tuples(request, fixture, cfg):
 
 
 def test_degenerate_single_coefficient_run_is_flagged():
-    cs = corpus.CoefficientSet(values=np.array([1.0]), N=0)
+    cs = corpus.CoefficientSet(values=np.array([1.0]))
     rep = reconstruct.build_report(cs, n_max=30)
     assert not rep.confident
 

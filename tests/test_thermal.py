@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 
@@ -9,6 +10,7 @@ from cutjump.errors import InputError
 from cutjump.specfun import integrate_adaptive
 from cutjump.thermal import (
     ThermalProblem,
+    ThermalReport,
     gtilde_line_expansion,
     psi_matrix,
     reconstruct_thermal,
@@ -27,7 +29,7 @@ def _demo(N=60, eps=0.0, seed=None):
 
 
 def test_thermal_requires_index_one_start():
-    cs0 = corpus.CoefficientSet(values=np.ones(3), N=2, start_index=0)
+    cs0 = corpus.CoefficientSet(values=np.ones(3), start_index=0)
     with pytest.raises(InputError):
         ThermalProblem(coefficients=cs0)
     with pytest.raises(InputError):
@@ -43,7 +45,7 @@ def test_beta_is_pinned():
 
 
 def test_synthesize_thermal_zero_coefficients():
-    cs = corpus.CoefficientSet(values=np.zeros(8), N=8, start_index=1)
+    cs = corpus.CoefficientSet(values=np.zeros(8), start_index=1)
     res = synthesize_thermal(ThermalProblem(coefficients=cs), n_max=12)
     assert np.all(res.c == 0.0)
 
@@ -119,6 +121,17 @@ def test_reconstruct_thermal_matches_bruteforce_sum():
         brute += res.c[n] * psi_matrix(n, vs)[n]
     brute *= np.exp(vs / 2.0)
     np.testing.assert_allclose(fast, brute, rtol=1e-10)
+
+
+def test_report_variants_differ_only_in_their_keys():
+    # Both variants run one pipeline: a field added to one report type alone
+    # belongs on the shared base or in that type's _KEYS.
+    shared = []
+    for cls in (reconstruct.ReconstructionReport, ThermalReport):
+        names = {f.name for f in dataclasses.fields(cls)}
+        assert set(cls._KEYS) <= names
+        shared.append(names - set(cls._KEYS))
+    assert shared[0] == shared[1]
 
 
 def test_demo_reconstruction_close_in_weighted_norm(thermal60_report):
