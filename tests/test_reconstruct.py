@@ -400,7 +400,7 @@ def test_detect_plateau_no_run_flags_low_confidence():
     det = detect_plateau(M)
     assert det.run is None
     assert not det.confident
-    assert det.plateau is not None  # band still reported
+    assert det.plateau[0] <= det.m_t <= det.plateau[1]  # band still reported
     assert 0 <= det.m_t < 30
 
 
