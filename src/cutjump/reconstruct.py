@@ -328,9 +328,11 @@ def detect_plateau(M: Sequence[float], policy: PlateauPolicy | None = None) -> P
     (M_{m+1}-M_m)/max(M_m, GROWTH_FLOOR) <= theta with length >= w_min (ties
     broken toward the later run) and truncates w_min//2 + 1 steps inside its
     end, where the expansion is most converged but not yet edge-contaminated.
-    Runs starting at or after the first step with growth >= DIVERGENCE_GROWTH
-    do not count.  Without a qualifying run the flattest w_min-step window is
-    used and the result is flagged unconfident.  The reported plateau is the
+    Runs starting at or after the divergence guard, the first step after
+    step 0 with growth >= DIVERGENCE_GROWTH, do not count; a jump at step 0
+    alone leaves the whole sequence open.  Without a qualifying run the
+    flattest w_min-step window before the guard is used and the result is
+    flagged unconfident.  The reported plateau is the
     band where M stays within (-BAND_LO, +BAND_HI) of the truncation level;
     on a plot of M against m that band is exactly the stretch that looks flat.
 
@@ -350,11 +352,14 @@ def detect_plateau(M: Sequence[float], policy: PlateauPolicy | None = None) -> P
         raise InputError("partial energies must be nondecreasing")
 
     growth = np.diff(M) / np.maximum(M[:-1], GROWTH_FLOOR)
-    # Indices at or beyond the first divergence jump are off limits: once a
-    # single step multiplies the energy, any later "flat" stretch is a shelf
-    # on top of the blow-up, not a plateau of the converged energy.
+    # Indices at or beyond the first divergence jump after step 0 are off
+    # limits: once a single step multiplies the energy, any later "flat"
+    # stretch is a shelf on top of the blow-up, not a plateau of the
+    # converged energy.  Step 0 grows from c_0^2 alone, so a jump there is
+    # not taken as the guard.
     diverged = np.nonzero(growth >= DIVERGENCE_GROWTH)[0]
-    guard = int(diverged[0]) if diverged.size and diverged[0] > 0 else growth.size
+    later = diverged[diverged > 0]
+    guard = int(later[0]) if later.size else growth.size
     qualifying = [
         r
         for r in _flat_runs(growth, policy.theta)

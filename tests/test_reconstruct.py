@@ -395,6 +395,30 @@ def test_detect_plateau_ignores_post_divergence_shelf():
     assert not det.confident
 
 
+def test_detect_plateau_guard_survives_a_step_zero_jump():
+    # growth at step 0 is 1.0 and at step 6 is 1e5: the guard sits at 6, so
+    # the shelf after it cannot anchor the truncation
+    M = np.concatenate([[0.5], np.linspace(1.0, 1.2, 6), [1e5] * 12])
+    det = detect_plateau(M)
+    assert det.m_t < 7
+    assert det.run is None
+
+
+@pytest.mark.parametrize("n, epsilon, seed", [(1, 0.0, None), (60, 0.1, 7006)])
+def test_step_zero_divergence_keeps_the_guard(n, epsilon, seed):
+    # Both runs diverge at step 0 and again at step 1.  With the guard
+    # switched off by the first jump they picked m_t 195 and 62, with l2_rel
+    # 1043.6 and 5.2e6.
+    spec = corpus.builtin("normalized_rational")
+    cs = corpus.coefficients(spec, n, epsilon=epsilon, seed=seed)
+    report = reconstruct.build_report(cs, n_max=200, truth=spec.jump)
+    growth = np.diff(report.M) / np.maximum(report.M[:-1], reconstruct.GROWTH_FLOOR)
+    assert np.all(growth[:2] >= reconstruct.DIVERGENCE_GROWTH)
+    assert report.m_t == 0
+    assert not report.confident
+    assert report.errors.l2_rel < 0.6
+
+
 def test_detect_plateau_no_run_flags_low_confidence():
     M = np.cumsum(np.ones(30) * 5.0)  # steady large growth
     det = detect_plateau(M)
