@@ -364,7 +364,7 @@ def _sweep_cell(cell: tuple[int, RunConfig]) -> dict:
     row.update(N=config.n_coeffs, epsilon=config.epsilon, repeat=repeat, seed=config.seed, error="")
     try:
         cs, truth = _coefficients(config, is_thermal=False)
-        report = reconstruct.build_report(cs, n_max=config.n_max, policy=config.policy(), truth=truth)
+        report = reconstruct._stopping_report(cs, config.n_max, config.policy(), truth)
         row["plateau_lo"], row["plateau_hi"] = report.plateau
         row["m_t"] = report.m_t
         row["confident"] = report.confident
@@ -376,26 +376,42 @@ def _sweep_cell(cell: tuple[int, RunConfig]) -> dict:
     return row
 
 
-# Estimated seconds of one sweep cell with N coefficients at depth n_max.
-# Synthesis makes up to N prefix-sum passes over n_max + 1 sums whose
-# integers grow with N, hence the N^2 n_max term.  The coefficients are a
-# least-squares fit (relative error) to steady in-process cell times on a
-# 2-vCPU VM, N in {1, 20, 60, 120, 250, 400, 700, 1000} x n_max in
-# {0, 50, 200, 400, 800}, noisy and noise-free, each the geometric mean of
-# two passes over the grid: rms error 20%, worst 43%.
-def _cell_seconds(n: int, n_max: int) -> float:
-    return 2.6e-4 + 3.1e-6 * n + n_max * (3.3e-6 + n * (4.4e-8 + 3.3e-10 * n))
+# Estimated seconds of one sweep cell with N coefficients at depth n_max and
+# noise bound epsilon.  A cell synthesizes only as deep as the truncation
+# search reads (``reconstruct._stopping_synthesis``), in whole blocks:
+# noise-free cells mostly read to n_max, and noisy ones stop sooner the
+# larger the noise, which the estimate takes as min(n_max, max(one block,
+# 8 epsilon^(-1/7))) columns.  Over three seeds per normalized_rational cell
+# the median stopping depth was 17-24 at epsilon 1e-3, 30-51 at 1e-5 and
+# 51-152 (some cells to n_max) at 1e-7.  Each column makes one prefix-sum
+# pass per level over integers that grow with N, hence the N^2 term per
+# column.  The coefficients are a least-squares fit (relative error) to
+# steady in-process cell times on a 2-vCPU VM, at the depth each cell
+# synthesized, N in {1, 20, 60, 120, 250, 400, 700, 1000} x n_max in {0, 50,
+# 200, 400, 800} x epsilon in {0, 1e-3, 1e-5, 1e-7}, each the geometric mean
+# of two passes over the grid: rms error 14%, worst 40%.  With the depth
+# taken from epsilon, noisy cells are estimated within 27% rms (worst 93%).
+# Noise-free cells with few coefficients (N = 1 and 20 here) also stop
+# early, so their estimate is high.
+def _cell_seconds(n: int, n_max: int, epsilon: float) -> float:
+    if epsilon > 0.0:
+        n_max = min(n_max, max(reconstruct.SYNTHESIS_BLOCK, 8.0 * epsilon ** (-1 / 7)))
+    return 2.2e-4 + 4.0e-6 * n + n_max * (7.2e-6 + n * (4.7e-8 + 2.7e-10 * n))
 
 
 # Estimated serial work (s) below which a sweep runs in the calling process.
 # A pool pays for starting and stopping its workers (11-14 ms for two,
 # forked from a process that has imported cutjump.cli) and for each forked
 # worker's first cell, about twice a steady one.  Serial against a 2-worker
-# pool, 20 alternating pairs per size in one sitting on a 2-vCPU VM, noisy
-# cells of N = 60 to 66 at n_max = 200.  Pairs the pool won, by estimated
-# serial work, over two runs: 38-46 ms 4-13 of 20, 50-54 ms 10-16, 58-66 ms
-# 11-17.  Three N = 400 cells (49 ms): 8 of 20 at epsilon 1 to 1e-2, 15 at
-# 1e-3 to 1e-7.  The break-even lies at about 40-55 ms.
+# pool, 20 alternating pairs per size in one sitting on a 2-vCPU VM, cells
+# of N = 60 and up at n_max = 200, one per epsilon in 1e-3 ... 1e-7 or five
+# noise-free.  Pairs the pool won, by estimated serial work, over two runs:
+# noisy 30 ms 2-3 of 20, 40 ms 9-15, 50 ms 10-18, 61 ms 13-19; noise-free
+# 27 ms 1-2, 40 ms 10-11, 54 ms 16-18, 67 ms 14-18.  The break-even lies at
+# about 40-50 ms for both.  Before noisy cells stopped early, the estimate
+# took them at full depth, and the same method found the break-even for
+# noisy cells at about 90-100 ms of that estimate (45-50 ms before the
+# change), so the estimate was refitted rather than the threshold moved.
 SWEEP_POOL_MIN_S = 0.045
 
 
@@ -416,7 +432,7 @@ def _worker_count(cells: list[tuple[int, RunConfig]]) -> int:
         cap = len(os.sched_getaffinity(0))  # the CPUs this process may run on
     else:
         cap = os.cpu_count() or 1
-    if sum(_cell_seconds(c.n_coeffs, c.n_max) for _, c in cells) < SWEEP_POOL_MIN_S:
+    if sum(_cell_seconds(c.n_coeffs, c.n_max, c.epsilon) for _, c in cells) < SWEEP_POOL_MIN_S:
         return 1
     return min(cap, len(cells))
 

@@ -19,10 +19,17 @@ never tabulated.  Their generating function, sum_n q_n^(k) t^n =
 turns the whole sum over k into a polynomial in u = (1 - t)/(1 + t).  In
 y = t/(1 - t) that polynomial is a Taylor shift of the weights (von zur
 Gathen and Gerhard 1997), and Horner's scheme in y needs one prefix sum per
-step: big-integer additions only (``_exact_sums``).  The final rounding
-brackets sqrt(2) between two 64-bit integers and keeps the exact square
-root for the rare coefficient whose bracket straddles a rounding boundary
-(Ziv 1991; ``_sqrt2_ratio``).
+step: big-integer additions only (``_exact_sums``).  The scheme runs in
+blocks of columns (``_sum_blocks``): each level, shifted so that it starts
+at its own column, carries its last value into the next block, so a block
+needs only the columns before it and skips the levels that start past its
+end.  Reports take one block of n_max + 1 columns.  A sweep cell takes
+blocks of ``SYNTHESIS_BLOCK`` columns and stops once it holds every energy
+that ``detect_plateau`` reads (``_stopping_synthesis``), unless a bound on
+the sums leaves room for a coefficient beyond the double range.  The final
+rounding brackets sqrt(2) between two 64-bit integers and keeps the exact
+square root for the rare coefficient whose bracket straddles a rounding
+boundary (Ziv 1991; ``_sqrt2_ratio``).
 
 Sign convention: the expansion coefficients and basis functions each carry a
 phase i^n; their product is real, equal to (-1)^n times the rotated real
@@ -52,7 +59,7 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Callable, ClassVar, Sequence
+from typing import Callable, ClassVar, Iterator, Sequence
 
 import numpy as np
 
@@ -102,26 +109,12 @@ class SynthesisResult:
     c: np.ndarray
 
 
-def _exact_sums(values: np.ndarray, n_max: int) -> tuple[list[int], int]:
-    """Integers S_0..S_{n_max} and D with sum_k (-1)^k v_k q_n^{(k)} / k! = S_n / D.
+def _weights(values: np.ndarray) -> tuple[list[int], int]:
+    """Integer weights w_0..w_{K-1} and D with (-1)^k v_k / k! = w_k / D.
 
     Every double is a dyadic rational, so with 2^s the largest denominator
     among the v_k and K = len(values), D = (K-1)! 2^s clears every
-    denominator, and S_n = sum_k w_k q_n^{(k)} with the integer weights
-    w_k = (-1)^k ((K-1)!/k!) (v_k 2^s).  The generating function of the
-    rotated values, sum_n q_n^{(k)} t^n = (1 - t)^k / (1 + t)^{k+1}, makes
-    the S_n the Taylor coefficients of P(u) / (1 + t), with P(u) = sum_k w_k u^k
-    and u = (1 - t)/(1 + t).  On the alternated coefficients (-1)^n S_n, t
-    becomes -t and u becomes v = (1 + t)/(1 - t) = 1 + 2y, y = t/(1 - t).  A
-    Taylor shift (repeated prefix sums over the reversed weights) gives
-    P(1 + 2y) = sum_j b_j y^j with b_j = 2^j sum_k C(k, j) w_k; since y^j
-    starts at t^j, only j <= min(K-1, n_max) matter.  Horner's scheme in y
-    then multiplies by y = t/(1 - t), a shift and one prefix sum per b_j,
-    truncated at t^{n_max} (each step is lower-triangular in t, so the
-    truncation is exact).  The accumulator carries the division by 1 - t
-    from the start: it holds the Horner partial sum over (1 - t), so each
-    step adds b_j / (1 - t), which is b_j at every power, as the initial
-    value of its prefix sum.  No step multiplies.
+    denominator, and w_k = (-1)^k ((K-1)!/k!) (v_k 2^s).
     """
     ratios = [float(v).as_integer_ratio() for v in values]
     shift = max(den.bit_length() - 1 for _, den in ratios)
@@ -132,16 +125,81 @@ def _exact_sums(values: np.ndarray, n_max: int) -> tuple[list[int], int]:
         w = fact * num * ((1 << shift) // den)
         weights[k] = -w if k % 2 else w
         fact *= max(k, 1)
+    return weights, fact << shift
+
+
+def _sum_blocks(weights: list[int], n_max: int, width: int) -> Iterator[list[int]]:
+    """S_0..S_{n_max} of ``_exact_sums``, ``width`` columns at a time.
+
+    A Taylor shift (repeated prefix sums over the reversed weights) gives
+    P(1 + 2y) = sum_j b_j y^j with b_j = 2^j sum_k C(k, j) w_k; since y^j
+    starts at t^j, only j <= J = min(K-1, n_max) matter.  Horner's scheme in
+    y = t/(1 - t) then runs from L_J = b_J / (1 - t) down to L_0, with
+    L_j = b_j / (1 - t) + y L_{j+1}, and (-1)^n S_n is the t^n coefficient
+    of L_0.  Shifted to start at its own column, K_j[n] = L_j[n - j] (0 for
+    n < j), each level is the prefix sum of the one above with b_j added at
+    column j: the division by 1 - t is the prefix sum, and the shift by t
+    is the column offset.  No step multiplies.
+
+    Each block runs one prefix sum per level over its own columns, from the
+    top, seeded with the level's last value in the block before.  A block
+    depends only on the columns before it, so the sums are the same whatever
+    the width and a caller may stop after any block.  Levels j at or past a
+    block's end are zero throughout it, so the block skips them, and the
+    Taylor shift runs only as far as the deepest level used so far.
+    """
+    levels = min(len(weights), n_max + 1)
     shifted = weights[::-1]
     b = []
-    for j in range(min(len(weights) - 1, n_max) + 1):
-        shifted = list(accumulate(shifted))
-        b.append(shifted.pop() << j)
-    sums = [b.pop()] * (n_max + 1)
-    for b_j in reversed(b):
-        sums = list(accumulate(sums[:-1], initial=b_j))
-    sums[1::2] = [-s for s in sums[1::2]]
-    return sums, fact << shift
+    seeds = [0] * levels  # K_j at the column before the block
+    for n0 in range(0, n_max + 1, width):
+        n1 = min(n0 + width, n_max + 1)
+        while len(b) < min(levels, n1):  # the shift's next pass gives the next b_j
+            shifted = list(accumulate(shifted))
+            b.append(shifted.pop() << len(b))
+        col = [0] * (n1 - n0)
+        for j in reversed(range(len(b))):
+            col[0] += seeds[j]
+            if j >= n0:
+                col[j - n0] += b[j]
+            col = list(accumulate(col))
+            seeds[j] = col[-1]
+        odd = (n0 + 1) % 2  # the first odd n of the block
+        col[odd::2] = [-s for s in col[odd::2]]
+        yield col
+
+
+def _exact_sums(values: np.ndarray, n_max: int) -> tuple[list[int], int]:
+    """Integers S_0..S_{n_max} and D with sum_k (-1)^k v_k q_n^{(k)} / k! = S_n / D.
+
+    With the integer weights w_k and D of ``_weights``, S_n = sum_k w_k
+    q_n^{(k)}.  The generating function of the rotated values, sum_n
+    q_n^{(k)} t^n = (1 - t)^k / (1 + t)^{k+1}, makes the S_n the Taylor
+    coefficients of P(u) / (1 + t), with P(u) = sum_k w_k u^k and u = (1 -
+    t)/(1 + t).  On the alternated coefficients (-1)^n S_n, t becomes -t
+    and u becomes v = (1 + t)/(1 - t) = 1 + 2y, y = t/(1 - t), a polynomial
+    in y that ``_sum_blocks`` expands by Horner's scheme, here as one block
+    (each step is lower-triangular in t, so truncating at t^{n_max} is
+    exact).
+    """
+    weights, d = _weights(values)
+    (sums,) = _sum_blocks(weights, n_max, n_max + 1)
+    return sums, d
+
+
+def _sum_bound(weights: list[int], n_max: int) -> int:
+    """sum_k |w_k| 2^k C(n_max + k, k), a bound on every |S_n|, n <= n_max.
+
+    The series of (1 + t)^k / (1 - t)^{k+1} majorizes that of the rotated
+    values, (1 - t)^k / (1 + t)^{k+1}, coefficientwise, and its t^n
+    coefficient, sum_j C(k, j) C(n - j + k, k), is at most 2^k C(n + k, k),
+    which does not decrease with n.
+    """
+    bound, binom = 0, 1  # binom = C(n_max + k, k)
+    for k, w in enumerate(weights):
+        bound += abs(w) * binom << k
+        binom = binom * (n_max + k + 1) // (k + 1)
+    return bound
 
 
 def _sqrt_ratio(m: int, d: int) -> float:
@@ -194,8 +252,9 @@ def _sqrt2_ratio(s: int, d: int) -> float:
     return -x if s < 0 else x
 
 
-def _checked_sums(values, n_max: int) -> tuple[list[int], int]:
-    """``_exact_sums(values, n_max)`` after validating the synthesis input."""
+def _checked(values, n_max: int) -> np.ndarray:
+    """The synthesis input as a float array; InputError if it or ``n_max``
+    is invalid."""
     values = np.asarray(values, dtype=float)
     if values.ndim != 1 or values.size == 0:
         raise InputError("synthesis input must be a non-empty 1-D array")
@@ -203,7 +262,12 @@ def _checked_sums(values, n_max: int) -> tuple[list[int], int]:
         raise InputError("synthesis input must not contain NaN or Inf")
     if n_max < 0:
         raise InputError("n_max must be >= 0")
-    return _exact_sums(values, n_max)
+    return values
+
+
+def _checked_sums(values, n_max: int) -> tuple[list[int], int]:
+    """``_exact_sums(values, n_max)`` after validating the synthesis input."""
+    return _exact_sums(_checked(values, n_max), n_max)
 
 
 def _in_range(a: np.ndarray, name: str) -> np.ndarray:
@@ -321,6 +385,24 @@ def _band(M: np.ndarray, m_t: int) -> tuple[int, int]:
     return a, min(max(b, m_t), len(M) - 1)
 
 
+def _growth(M: np.ndarray) -> np.ndarray:
+    """Relative energy growth (M_{m+1} - M_m) / max(M_m, GROWTH_FLOOR) of each step."""
+    return np.diff(M) / np.maximum(M[:-1], GROWTH_FLOOR)
+
+
+def _divergence_guard(growth: np.ndarray) -> int:
+    """The first step after step 0 with growth >= DIVERGENCE_GROWTH, else
+    ``growth.size``.
+
+    Indices at or beyond it are off limits to the plateau search: once a
+    single step multiplies the energy, any later "flat" stretch is a shelf
+    on top of the blow-up, not a plateau of the converged energy.  Step 0
+    grows from c_0^2 alone, so a jump there is not taken as the guard.
+    """
+    diverged = np.flatnonzero(growth[1:] >= DIVERGENCE_GROWTH)
+    return int(diverged[0]) + 1 if diverged.size else growth.size
+
+
 def detect_plateau(M: Sequence[float], policy: PlateauPolicy | None = None) -> PlateauResult:
     """Locate the plateau of the partial energies and pick a truncation index.
 
@@ -340,6 +422,13 @@ def detect_plateau(M: Sequence[float], policy: PlateauPolicy | None = None) -> P
     decay at least like m^-MIN_DECAY_EXPONENT = m^-2; slower decay is the
     signature of a discontinuous jump function, whose truncated expansion
     cannot be trusted pointwise.
+
+    With the guard at step g, the result depends only on M_0..M_{g+w_min}:
+    no flat run crosses step g, so every run that counts ends by g; the
+    band's upper threshold (1 + BAND_HI) M[m_t] lies below M[g+1] >=
+    (1 + DIVERGENCE_GROWTH) M[g]; and the fallback's window means before g
+    read M up to index g + w_min - 1.  A longer M, as from a deeper
+    synthesis, gives the same result (``_stopping_synthesis`` relies on it).
     """
     if policy is None:
         policy = PlateauPolicy()
@@ -351,15 +440,8 @@ def detect_plateau(M: Sequence[float], policy: PlateauPolicy | None = None) -> P
     if np.any(np.diff(M) < 0.0):
         raise InputError("partial energies must be nondecreasing")
 
-    growth = np.diff(M) / np.maximum(M[:-1], GROWTH_FLOOR)
-    # Indices at or beyond the first divergence jump after step 0 are off
-    # limits: once a single step multiplies the energy, any later "flat"
-    # stretch is a shelf on top of the blow-up, not a plateau of the
-    # converged energy.  Step 0 grows from c_0^2 alone, so a jump there is
-    # not taken as the guard.
-    diverged = np.nonzero(growth >= DIVERGENCE_GROWTH)[0]
-    later = diverged[diverged > 0]
-    guard = int(later[0]) if later.size else growth.size
+    growth = _growth(M)
+    guard = _divergence_guard(growth)
     qualifying = [
         r
         for r in _flat_runs(growth, policy.theta)
@@ -384,6 +466,52 @@ def detect_plateau(M: Sequence[float], policy: PlateauPolicy | None = None) -> P
     m_t = int(seg.size - 1 - np.argmin(seg[::-1]))  # ties -> later
     p_hat = _energy_decay_exponent(c_sq, max(0, m_t - 2 * policy.w_min), m_t)
     return PlateauResult(_band(M, m_t), m_t, False, None, p_hat)
+
+
+# A sweep cell stops synthesizing early only when every |S_n| / D up to
+# n_max is below 2^STOP_BOUND_BITS (``_sum_bound``).  Then every c_n is below
+# 2^(STOP_BOUND_BITS + 1) and every M_n, a sum of n + 1 such squares, stays
+# finite for any n_max below 2^20 (the CLI allows 800), so no value past the
+# stopping depth could have raised the full synthesis' range error.
+STOP_BOUND_BITS = 500
+# Columns per block of the stopping synthesis.  Each block costs one
+# Python-level prefix sum per Horner level and one scan of the energies, so
+# narrow blocks pay that often and wide ones synthesize past the depth
+# needed.  In-process sweep cells of normalized_rational at n_max = 200, on a
+# 2-vCPU VM (median of 15 shuffled rounds, two runs): noisy N = 60 cells (one
+# per epsilon, 1e-3 to 1e-7) took 0.82 ms at 8 columns, 0.73-0.76 at 16,
+# 0.69-0.70 at 24, 0.72 at 32, 0.73-0.75 at 48 and 1.22-1.27 ms in one
+# block; noise-free cells (N = 20, 60, 120), which read to n_max, 1.53-1.58
+# ms at 32 columns against 1.44-1.52 ms in one block.
+SYNTHESIS_BLOCK = 32
+
+
+def _stopping_synthesis(values, n_max: int, w_min: int) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficients and energies c, M to index g + w_min, the depth that
+    ``detect_plateau`` reads, g being the divergence guard.
+
+    The blocks of ``_sum_blocks`` arrive until one holds both a guard and
+    c_{g + w_min}, else up to n_max; each c_n is rounded once, when its
+    block arrives.  Every entry is the one the full synthesis gives, since
+    no c_n or M_n depends on n_max.  Input whose bound leaves room for a
+    value outside the double range (``STOP_BOUND_BITS``) is synthesized to
+    n_max, so it raises what the full synthesis raises.
+    """
+    values = _checked(values, n_max)
+    weights, d = _weights(values)
+    if _sum_bound(weights, n_max).bit_length() - d.bit_length() >= STOP_BOUND_BITS:
+        c = synthesize_coefficients(values, n_max).c
+        return c, partial_energies(c)
+    rounded = []  # c_n up to the phase (-1)^n, which the energies do not see
+    for block in _sum_blocks(weights, n_max, SYNTHESIS_BLOCK):
+        rounded += [_sqrt2_ratio(s, d) for s in block]
+        M = partial_energies(rounded)
+        depth = _divergence_guard(_growth(M)) + w_min + 1  # above M.size without a guard
+        if depth <= M.size:
+            break
+    c = np.array(rounded[:depth])
+    c[1::2] = -c[1::2]
+    return c, M[:depth]
 
 
 # --------------------------------------------------------------------------
@@ -667,20 +795,28 @@ def _run_pipeline(
     resum: Callable,
     truth: Callable | None,
     error: Callable,
+    stop: bool = False,
 ) -> _Report:
     """The pipeline both variants share, returning a ``report`` of ``g``.
 
     Synthesis, energies, plateau and confidence, then resummation on ``xs``
-    and, given a truth, its samples and ``error(xs, j_rec, truth)``.
+    and, given a truth, its samples and ``error(xs, j_rec, truth)``.  With
+    ``stop`` the synthesis stops where the plateau search stops reading
+    (``_stopping_synthesis``), so ``c`` and ``M`` may end before n_max, and
+    the truth is not sampled; every other field is as without it.
     """
-    c = synthesize_coefficients(g, n_max).c
-    M = partial_energies(c)
+    policy = policy or PlateauPolicy()
+    if stop:
+        c, M = _stopping_synthesis(g.values, n_max, policy.w_min)
+    else:
+        c = synthesize_coefficients(g, n_max).c
+        M = partial_energies(c)
     det = detect_plateau(M, policy)
     j_rec = resum(c, det.m_t, xs)
     j_true = None
     errors = None
     if truth is not None:
-        j_true = truth(xs)
+        j_true = None if stop else truth(xs)
         errors = error(xs, j_rec, truth)
     return report(
         **dict(zip(report._KEYS, (c, xs, errors))),
@@ -704,4 +840,15 @@ def build_report(
     """Run the full pipeline on a coefficient set, on ``default_grid()``."""
     return _run_pipeline(
         ReconstructionReport, g, n_max, policy, default_grid(), reconstruct_jump, truth, l2_error
+    )
+
+
+def _stopping_report(
+    g: CoefficientSet, n_max: int, policy: PlateauPolicy, truth: JumpGroundTruth | None
+) -> ReconstructionReport:
+    """``build_report`` synthesizing only as deep as the plateau search reads:
+    the plateau, truncation, confidence, samples and errors of the full run,
+    with ``c`` and ``M`` cut at that depth and no truth samples."""
+    return _run_pipeline(
+        ReconstructionReport, g, n_max, policy, default_grid(), reconstruct_jump, truth, l2_error, stop=True
     )

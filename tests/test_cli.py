@@ -1,15 +1,17 @@
 import argparse
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from cutjump import cli
-from cutjump.errors import ConfigError
+from cutjump import cli, corpus, reconstruct
+from cutjump.errors import ConfigError, InputError
 
 
 def run_cli(args):
@@ -549,6 +551,77 @@ def test_sweep_single_cell_matches_reconstruct(tmp_path, monkeypatch):
     assert float(row["l2_rel"]) == payload["errors"]["l2_rel"]
 
 
+POWER_PROBLEMS = [pid for pid in corpus.BUILTIN_IDS if corpus.builtin(pid).start_index == 0]
+
+
+def _stopping_cells(count: int, seed: int) -> list:
+    """Random sweep cells over the power problems, with noise from none to
+    beyond the double range and plateau policies across their range."""
+    rng = np.random.default_rng(seed)
+    epsilons = [0.0, 0.3, *(10.0**-k for k in range(1, 10)), 1e141, 1e144]
+    cells = []
+    for i in range(count):
+        base = cli.RunConfig(
+            problem=str(rng.choice(POWER_PROBLEMS)),
+            n_max=int(rng.choice([0, 1, 7, 30, 200, 500])),
+            plateau_theta=float(10.0 ** rng.uniform(-5.0, math.log10(0.49))),
+            plateau_window=int(rng.integers(2, 31)),
+        )
+        sweep = cli.SweepConfig(
+            base=base,
+            ns=[int(rng.choice([1, 2, 3, 10, 20, 60, 120, 250]))],
+            epsilons=[float(rng.choice(epsilons))],
+            repeats=1,
+            seed_base=int(rng.integers(0, 2**32)),
+        )
+        cells += sweep.cells()
+    return cells
+
+
+def _full_depth_rows(cells, monkeypatch) -> list:
+    with monkeypatch.context() as m:
+        m.setattr(reconstruct, "_stopping_report", reconstruct.build_report)
+        return [cli._sweep_cell(c) for c in cells]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_sweep_rows_equal_the_full_depth_rows(monkeypatch, seed):
+    # A sweep cell synthesizes only as deep as the plateau search reads; its
+    # row, error text included, must be the one a full-depth report gives.
+    cells = _stopping_cells(150, seed)
+    rows = [cli._sweep_cell(c) for c in cells]
+    for cell, row, want in zip(cells, rows, _full_depth_rows(cells, monkeypatch)):
+        assert [cli._fmt(row[k]) for k in cli.SWEEP_COLUMNS] == [cli._fmt(want[k]) for k in cli.SWEEP_COLUMNS], cell
+
+
+def test_default_sweep_cells_stop_early():
+    spec = corpus.builtin("normalized_rational")
+    for eps in (1e-3, 1e-5):
+        cs = corpus.coefficients(spec, 60, epsilon=eps, seed=5)
+        report = reconstruct._stopping_report(cs, 200, reconstruct.PlateauPolicy(), spec.jump)
+        full = reconstruct.build_report(cs, 200, truth=spec.jump)
+        assert report.c.size == report.M.size < 100
+        assert np.array_equal(report.c, full.c[: report.c.size])
+        assert np.array_equal(report.M, full.M[: report.M.size])
+        assert report.j_true is None
+        assert (report.m_t, report.plateau, report.errors) == (full.m_t, full.plateau, full.errors)
+
+
+def test_sweep_keeps_the_range_error_past_the_stopping_depth(tmp_path):
+    # At epsilon 1e141 the energies leave the double range at M_135, far
+    # past the depth the plateau search reads; only the bound on the sums
+    # sends this cell to full depth, where it fails as ``reconstruct`` does.
+    args = ["--problem", "normalized_rational", "--n-max", "200", "--out", str(tmp_path)]
+    assert run_cli(["sweep", *args, "--n-list", "60", "--epsilons", "1e141", "--repeats", "1", "--seed-base", "0"]) == 1
+    rows = (tmp_path / "normalized_rational_sweep.csv").read_text().splitlines()
+    want = "InputError: M_135 lies outside the double range; rescale the input coefficients"
+    assert rows[1].split(",")[-1] == want
+    with pytest.raises(InputError, match="M_135 lies outside"):
+        cs = corpus.coefficients(corpus.builtin("normalized_rational"), 60, epsilon=1e141, seed=0)
+        reconstruct.build_report(cs, 200)
+    assert run_cli(["reconstruct", *args, "--n-coeffs", "60", "--epsilon", "1e141", "--seed", "0"]) == 1
+
+
 def test_sweep_parallel_matches_serial(tmp_path, monkeypatch):
     args = [
         "sweep",
@@ -580,15 +653,18 @@ def test_sweep_parallel_matches_serial(tmp_path, monkeypatch):
     assert a == b
 
 
-def _sweep_cells(ns, n_max, n_eps) -> list:
+def _sweep_cells(ns, n_max, epsilons, repeats=1) -> list:
     base = cli.RunConfig(problem="normalized_rational", n_max=n_max)
-    return cli.SweepConfig(base=base, ns=ns, epsilons=[10.0**-k for k in range(n_eps)], repeats=1).cells()
+    return cli.SweepConfig(base=base, ns=ns, epsilons=epsilons, repeats=repeats).cells()
+
+
+DEFAULT_EPSILONS = [1e-3, 1e-4, 1e-5, 1e-6, 1e-7]
 
 
 def test_default_worker_count_follows_the_affinity_mask(monkeypatch):
     # Under taskset or a cpuset the process may use fewer CPUs than the
     # machine has; the default pool must not exceed them.
-    cells = _sweep_cells([1000], 800, 5)  # estimated well above the pool threshold
+    cells = _sweep_cells([1000], 800, [0.0], repeats=5)  # estimated well above the pool threshold
     monkeypatch.delenv("CUTJUMP_THREADS", raising=False)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
@@ -598,30 +674,44 @@ def test_default_worker_count_follows_the_affinity_mask(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "ns,n_max,n_eps,cap,expected",
+    "ns,n_max,epsilons,repeats,cap,expected",
     [
-        ([1000], 800, 2, 4, 2),  # fewer cells than the cap
-        ([1000], 800, 2, 1, 1),
-        ([400], 200, 3, 2, 2),
-        (list(range(60, 68)), 200, 5, 8, 8),  # 40 cells of about the default cost
-        (list(range(60, 68)), 200, 5, 3, 3),
+        ([1000], 800, [0.0], 2, 4, 2),  # fewer cells than the cap
+        ([1000], 800, [0.0], 2, 1, 1),
+        ([400], 200, [0.0], 3, 2, 2),
+        (list(range(60, 68)), 200, [0.0], 5, 8, 8),  # 40 noise-free cells of the default shape
+        (list(range(60, 68)), 200, [0.0], 5, 3, 3),
+        (list(range(60, 80)), 200, DEFAULT_EPSILONS, 1, 2, 2),  # 100 noisy cells
     ],
-    ids=["N1000-cap4", "N1000-cap1", "N400-cap2", "40cells-cap8", "40cells-cap3"],
+    ids=["N1000-cap4", "N1000-cap1", "N400-cap2", "40cells-cap8", "40cells-cap3", "100noisy-cap2"],
 )
-def test_sweep_above_the_pool_threshold_gets_min_of_cap_and_cells(monkeypatch, ns, n_max, n_eps, cap, expected):
-    cells = _sweep_cells(ns, n_max, n_eps)
-    assert sum(cli._cell_seconds(c.n_coeffs, c.n_max) for _, c in cells) >= cli.SWEEP_POOL_MIN_S
+def test_sweep_above_the_pool_threshold_gets_min_of_cap_and_cells(
+    monkeypatch, ns, n_max, epsilons, repeats, cap, expected
+):
+    cells = _sweep_cells(ns, n_max, epsilons, repeats)
+    assert sum(cli._cell_seconds(c.n_coeffs, c.n_max, c.epsilon) for _, c in cells) >= cli.SWEEP_POOL_MIN_S
     monkeypatch.setenv("CUTJUMP_THREADS", str(cap))
     assert cli._worker_count(cells) == expected
 
 
 def test_sweep_below_the_pool_threshold_runs_serially(monkeypatch):
-    cells = _sweep_cells([60], 200, 5)  # the default sweep's shape, one repeat
+    cells = _sweep_cells([60], 200, DEFAULT_EPSILONS)  # the default sweep's shape, one repeat
     monkeypatch.setenv("CUTJUMP_THREADS", "2")
     assert cli._worker_count(cells) == 1
     monkeypatch.setenv("CUTJUMP_THREADS", "0")  # still validated
     with pytest.raises(ConfigError, match="CUTJUMP_THREADS"):
         cli._worker_count(cells)
+
+
+def test_noisy_cells_are_estimated_at_their_stopping_depth(monkeypatch):
+    # Noisy cells stop synthesizing at the plateau, so 40 of the default
+    # shape stay below the pool threshold, while 40 noise-free ones, which
+    # read to n_max, are above it.
+    monkeypatch.setenv("CUTJUMP_THREADS", "2")
+    assert cli._worker_count(_sweep_cells(list(range(60, 68)), 200, DEFAULT_EPSILONS)) == 1
+    assert cli._worker_count(_sweep_cells(list(range(60, 68)), 200, [0.0], repeats=5)) == 2
+    assert cli._cell_seconds(60, 200, 1e-3) < cli._cell_seconds(60, 200, 1e-7) < cli._cell_seconds(60, 200, 0.0)
+    assert cli._cell_seconds(60, 20, 1e-3) == cli._cell_seconds(60, 20, 0.0)  # no deeper than n_max
 
 
 def test_sweep_bad_threads_env(tmp_path, monkeypatch):

@@ -205,6 +205,30 @@ def test_exact_sums_equal_the_closed_form_sums(values, n_max):
         assert Fraction(s, d) == want
 
 
+def test_blocked_sums_equal_the_one_block_sums():
+    # Any block width gives the sums of the single block that the gates
+    # above pin, each block but the last holding exactly ``width`` columns.
+    rng = np.random.default_rng(26)
+    for _ in range(150):
+        k, n_max, width = int(rng.integers(1, 81)), int(rng.integers(0, 301)), int(rng.integers(1, 41))
+        values = rng.choice([-1.0, 1.0], k) * 10.0 ** rng.uniform(-8.0, 3.0, k)
+        sums, d = reconstruct._exact_sums(values, n_max)
+        weights, d_blocked = reconstruct._weights(values)
+        blocks = list(reconstruct._sum_blocks(weights, n_max, width))
+        assert d_blocked == d
+        assert [len(b) for b in blocks[:-1]] == [width] * (len(blocks) - 1)
+        assert [s for b in blocks for s in b] == sums
+
+
+def test_sum_bound_bounds_every_sum():
+    rng = np.random.default_rng(27)
+    for _ in range(40):
+        k, n_max = int(rng.integers(1, 81)), int(rng.integers(0, 301))
+        values = rng.choice([-1.0, 1.0], k) * 10.0 ** rng.uniform(-8.0, 3.0, k)
+        sums, _ = reconstruct._exact_sums(values, n_max)
+        assert max(map(abs, sums)) <= reconstruct._sum_bound(reconstruct._weights(values)[0], n_max)
+
+
 # ----------------------------------------------------- exact final rounding
 
 
