@@ -59,9 +59,10 @@ EXIT_POSITIVITY = 2
 MAX_N_COEFFS = 1000
 MAX_N_MAX = 800
 # Ceiling on a sweep's runs, len(n-list) * len(epsilons) * repeats, checked
-# before any cell is built.  In-process, over three runs on a 2-vCPU VM, a
-# default noisy cell (N = 60, n_max = 200) took a median 1.6-2.9 ms
-# (1.9-3.3 ms noise-free) and the cheapest (N = 1, n_max = 0) 0.2-0.4 ms.
+# before any cell is built.  In-process, over three passes on a 2-vCPU VM, a
+# default noisy cell (N = 60, n_max = 200) took a median 0.6-1.5 ms
+# (epsilon 1e-3 to 1e-7; 1.7-3.0 ms noise-free) and the cheapest (N = 1,
+# n_max = 0) 0.2-0.4 ms.
 MAX_SWEEP_CELLS = 10_000
 
 

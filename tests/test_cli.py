@@ -616,8 +616,8 @@ def test_sweep_keeps_the_range_error_past_the_stopping_depth(tmp_path):
     rows = (tmp_path / "normalized_rational_sweep.csv").read_text().splitlines()
     want = "InputError: M_135 lies outside the double range; rescale the input coefficients"
     assert rows[1].split(",")[-1] == want
+    cs = corpus.coefficients(corpus.builtin("normalized_rational"), 60, epsilon=1e141, seed=0)
     with pytest.raises(InputError, match="M_135 lies outside"):
-        cs = corpus.coefficients(corpus.builtin("normalized_rational"), 60, epsilon=1e141, seed=0)
         reconstruct.build_report(cs, 200)
     assert run_cli(["reconstruct", *args, "--n-coeffs", "60", "--epsilon", "1e141", "--seed", "0"]) == 1
 
