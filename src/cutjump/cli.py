@@ -125,6 +125,9 @@ class RunConfig:
     def validate(self) -> None:
         if (self.problem is None) == (self.input_path is None):
             raise ConfigError("problem/input: exactly one of --problem and --input is required")
+        for flag, path in (("input", self.input_path), ("out", self.output_dir)):
+            if path is not None and "\0" in path:
+                raise ConfigError(f"{flag}: must not contain a NUL character")
         if self.problem is not None and self.problem not in corpus.BUILTIN_IDS:
             raise ConfigError(
                 f"problem: unknown id {self.problem!r} (known: {', '.join(corpus.BUILTIN_IDS)})"
@@ -379,7 +382,7 @@ def _sweep_cell(cell: tuple[int, RunConfig]) -> dict:
 
 # Estimated seconds of one sweep cell with N coefficients at depth n_max and
 # noise bound epsilon.  A cell synthesizes only as deep as the truncation
-# search reads (``reconstruct._stopping_synthesis``), in whole blocks:
+# search reads (``reconstruct._synthesis`` with w_min), in whole blocks:
 # noise-free cells mostly read to n_max, and noisy ones stop sooner the
 # larger the noise, which the estimate takes as min(n_max, max(one block,
 # 8 epsilon^(-1/7))) columns.  Over three seeds per normalized_rational cell

@@ -293,7 +293,12 @@ def _parse_coefficient_lines(text: str) -> tuple[list[tuple[int, float]], float]
 
 
 def _load(path, expected_start: int) -> CoefficientSet:
-    text = Path(path).read_text(encoding="utf-8")
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:  # numbered as the parser numbers lines
+        line = len((data[: exc.start].decode("utf-8") + "x").splitlines())
+        raise ParseError(f"not UTF-8 text (byte 0x{data[exc.start]:02x})", line) from None
     pairs, eps = _parse_coefficient_lines(text)
     if pairs[0][0] != expected_start:
         raise ParseError(

@@ -23,13 +23,14 @@ step: big-integer additions only (``_exact_sums``).  The scheme runs in
 blocks of columns (``_sum_blocks``): each level, shifted so that it starts
 at its own column, carries its last value into the next block, so a block
 needs only the columns before it and skips the levels that start past its
-end.  Reports take one block of n_max + 1 columns.  A sweep cell takes
-blocks of ``SYNTHESIS_BLOCK`` columns and stops once it holds every energy
-that ``detect_plateau`` reads (``_stopping_synthesis``), unless a bound on
-the sums leaves room for a coefficient beyond the double range.  The final
-rounding brackets sqrt(2) between two 64-bit integers and keeps the exact
-square root for the rare coefficient whose bracket straddles a rounding
-boundary (Ziv 1991; ``_sqrt2_ratio``).
+end.  One routine, ``_synthesis``, serves reports and sweep cells.  A
+report takes one block of n_max + 1 columns.  A sweep cell takes blocks
+of ``SYNTHESIS_BLOCK`` columns and stops once it holds every energy that
+``detect_plateau`` reads, unless a bound on the sums leaves room for a
+coefficient beyond the double range.  Each coefficient is rounded once:
+the rounding brackets sqrt(2) between two 64-bit integers and keeps the
+exact square root for the rare coefficient whose bracket straddles a
+rounding boundary (Ziv 1991; ``_sqrt2_ratio``).
 
 Sign convention: the expansion coefficients and basis functions each carry a
 phase i^n; their product is real, equal to (-1)^n times the rotated real
@@ -265,11 +266,6 @@ def _checked(values, n_max: int) -> np.ndarray:
     return values
 
 
-def _checked_sums(values, n_max: int) -> tuple[list[int], int]:
-    """``_exact_sums(values, n_max)`` after validating the synthesis input."""
-    return _exact_sums(_checked(values, n_max), n_max)
-
-
 def _in_range(a: np.ndarray, name: str) -> np.ndarray:
     """``a`` itself; InputError naming the first entry outside the double range."""
     bad = np.flatnonzero(~np.isfinite(a))
@@ -284,13 +280,9 @@ def synthesize_coefficients(g: CoefficientSet | np.ndarray, n_max: int = DEFAULT
     c_n = (-1)^n sqrt(2) sum_{k=0}^{N} (-1)^k g_k q_n^{(k)} / k!, the real
     number such that the reconstruction is sum c_n phi_n(x) (see ``phi_matrix``).
     The sums S_n / D are exact (see ``_exact_sums``), and each coefficient,
-    sqrt(2) S_n / D, is rounded to a double once by ``_sqrt2_ratio``.
+    sqrt(2) S_n / D, is rounded to a double once (see ``_synthesis``).
     """
-    values = g.values if isinstance(g, CoefficientSet) else g
-    sums, d = _checked_sums(values, n_max)
-    c = np.array([_sqrt2_ratio(s, d) for s in sums])
-    c[1::2] = -c[1::2]
-    return SynthesisResult(c=_in_range(c, "c"))
+    return SynthesisResult(c=_synthesis(g.values if isinstance(g, CoefficientSet) else g, n_max))
 
 
 def partial_energies(c: np.ndarray) -> np.ndarray:
@@ -428,7 +420,7 @@ def detect_plateau(M: Sequence[float], policy: PlateauPolicy | None = None) -> P
     band's upper threshold (1 + BAND_HI) M[m_t] lies below M[g+1] >=
     (1 + DIVERGENCE_GROWTH) M[g]; and the fallback's window means before g
     read M up to index g + w_min - 1.  A longer M, as from a deeper
-    synthesis, gives the same result (``_stopping_synthesis`` relies on it).
+    synthesis, gives the same result (``_synthesis`` relies on it).
     """
     if policy is None:
         policy = PlateauPolicy()
@@ -486,32 +478,33 @@ STOP_BOUND_BITS = 500
 SYNTHESIS_BLOCK = 32
 
 
-def _stopping_synthesis(values, n_max: int, w_min: int) -> tuple[np.ndarray, np.ndarray]:
-    """Coefficients and energies c, M to index g + w_min, the depth that
+def _synthesis(values, n_max: int, w_min: int | None = None) -> np.ndarray:
+    """c_0..c_{n_max}, or given ``w_min`` the prefix c_0..c_{g + w_min} that
     ``detect_plateau`` reads, g being the divergence guard.
 
-    The blocks of ``_sum_blocks`` arrive until one holds both a guard and
-    c_{g + w_min}, else up to n_max; each c_n is rounded once, when its
-    block arrives.  Every entry is the one the full synthesis gives, since
-    no c_n or M_n depends on n_max.  Input whose bound leaves room for a
-    value outside the double range (``STOP_BOUND_BITS``) is synthesized to
-    n_max, so it raises what the full synthesis raises.
+    Each c_n is (-1)^n sqrt(2) S_n / D (``_exact_sums``), rounded once by
+    ``_sqrt2_ratio``.  Given ``w_min``, the sums come ``SYNTHESIS_BLOCK``
+    columns at a time until a block holds both a guard and c_{g + w_min};
+    no c_n depends on n_max, so the prefix is the full synthesis' own.  Else,
+    or if a bound on the sums leaves room for a value outside the double
+    range (``STOP_BOUND_BITS``) and so for the full synthesis' range error,
+    they come as one block.  InputError names the first c_n out of range.
     """
     values = _checked(values, n_max)
     weights, d = _weights(values)
-    if _sum_bound(weights, n_max).bit_length() - d.bit_length() >= STOP_BOUND_BITS:
-        c = synthesize_coefficients(values, n_max).c
-        return c, partial_energies(c)
+    stop = w_min is not None and _sum_bound(weights, n_max).bit_length() - d.bit_length() < STOP_BOUND_BITS
     rounded = []  # c_n up to the phase (-1)^n, which the energies do not see
-    for block in _sum_blocks(weights, n_max, SYNTHESIS_BLOCK):
+    for block in _sum_blocks(weights, n_max, SYNTHESIS_BLOCK if stop else n_max + 1):
         rounded += [_sqrt2_ratio(s, d) for s in block]
-        M = partial_energies(rounded)
-        depth = _divergence_guard(_growth(M)) + w_min + 1  # above M.size without a guard
-        if depth <= M.size:
-            break
-    c = np.array(rounded[:depth])
+        if stop:
+            M = partial_energies(rounded)
+            depth = _divergence_guard(_growth(M)) + w_min + 1  # above M.size without a guard
+            if depth <= len(rounded):
+                del rounded[depth:]
+                break
+    c = np.array(rounded)
     c[1::2] = -c[1::2]
-    return c, M[:depth]
+    return _in_range(c, "c")
 
 
 # --------------------------------------------------------------------------
@@ -802,15 +795,12 @@ def _run_pipeline(
     Synthesis, energies, plateau and confidence, then resummation on ``xs``
     and, given a truth, its samples and ``error(xs, j_rec, truth)``.  With
     ``stop`` the synthesis stops where the plateau search stops reading
-    (``_stopping_synthesis``), so ``c`` and ``M`` may end before n_max, and
-    the truth is not sampled; every other field is as without it.
+    (``_synthesis`` given ``w_min``), so ``c`` and ``M`` may end before
+    n_max, and the truth is not sampled; every other field is as without it.
     """
     policy = policy or PlateauPolicy()
-    if stop:
-        c, M = _stopping_synthesis(g.values, n_max, policy.w_min)
-    else:
-        c = synthesize_coefficients(g, n_max).c
-        M = partial_energies(c)
+    c = _synthesis(g.values, n_max, policy.w_min if stop else None)
+    M = partial_energies(c)
     det = detect_plateau(M, policy)
     j_rec = resum(c, det.m_t, xs)
     j_true = None

@@ -33,7 +33,8 @@ from .reconstruct import (
     PlateauPolicy,
     SynthesisResult,
     _basis,
-    _checked_sums,
+    _checked,
+    _exact_sums,
     _head,
     _in_range,
     _Report,
@@ -152,7 +153,7 @@ def synthesize_line_coefficients(problem: ThermalProblem, n_max: int = DEFAULT_N
     prefactor is evaluated at ``LINE_PREFACTOR_BITS`` bits and each product
     rounded to a double once.
     """
-    sums, d = _checked_sums(problem.coefficients.values, n_max)
+    sums, d = _exact_sums(_checked(problem.coefficients.values, n_max), n_max)
     with mp.workprec(LINE_PREFACTOR_BITS):
         pref = 2 * mp.sqrt(mp.pi) / d
         d_n = np.array([float(pref * s) for s in sums])

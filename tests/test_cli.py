@@ -203,6 +203,35 @@ def test_non_finite_epsilon_header_exits_one_naming_it(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["reconstruct", "thermal", "moments"])
+def test_non_utf8_input_exits_one_naming_the_line(tmp_path, capsys, command):
+    start = 1 if command == "thermal" else 0
+    f = tmp_path / "bad.csv"
+    f.write_bytes(f"{start},1.0\n{start + 1},".encode() + b"\xff0.5\n")
+    out = tmp_path / "out"
+    code = run_cli([command, "--input", str(f), "--out", str(out)])
+    assert code == cli.EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 2: not UTF-8 text (byte 0xff)")
+    assert "Traceback" not in err
+    assert not list(out.glob("*"))
+
+
+@pytest.mark.parametrize(
+    "command,config,needle",
+    [("reconstruct", {"input_path": "a\x00b"}, "input:")]
+    + [(c, {"output_dir": "o\x00x", "problem": "harmonic"}, "out:") for c in ("reconstruct", "thermal", "moments", "sweep")],
+    ids=["reconstruct-input", "reconstruct-out", "thermal-out", "moments-out", "sweep-out"],
+)  # fmt: skip
+def test_nul_in_a_config_path_exits_one_naming_the_flag(tmp_path, monkeypatch, capsys, command, config, needle):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text(json.dumps(config))
+    code = run_cli([command, "--config", "cfg.json"])
+    assert code == cli.EXIT_ERROR
+    assert capsys.readouterr().err == f"error: {needle} must not contain a NUL character\n"
+    assert list(tmp_path.iterdir()) == [tmp_path / "cfg.json"]
+
+
 def test_help_exits_zero(capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli(["reconstruct", "--help"])
@@ -620,6 +649,19 @@ def test_sweep_keeps_the_range_error_past_the_stopping_depth(tmp_path):
     with pytest.raises(InputError, match="M_135 lies outside"):
         reconstruct.build_report(cs, 200)
     assert run_cli(["reconstruct", *args, "--n-coeffs", "60", "--epsilon", "1e141", "--seed", "0"]) == 1
+
+
+def test_sweep_row_names_the_first_coefficient_out_of_range(tmp_path, capsys):
+    # At epsilon 8e307 both c_3 and M_0 lie outside the double range.  The
+    # coefficients are checked first, in the sweep cell as in ``reconstruct``.
+    args = ["--problem", "normalized_rational", "--out", str(tmp_path)]
+    assert run_cli(["sweep", *args, "--n-list", "60", "--epsilons", "8e307", "--repeats", "1", "--seed-base", "0"]) == 1
+    rows = (tmp_path / "normalized_rational_sweep.csv").read_text().splitlines()
+    want = "c_3 lies outside the double range; rescale the input coefficients"
+    assert rows[1].split(",")[-1] == f"InputError: {want}"
+    capsys.readouterr()
+    assert run_cli(["reconstruct", *args, "--n-coeffs", "60", "--epsilon", "8e307", "--seed", "0"]) == 1
+    assert capsys.readouterr().err == f"error: {want}\n"
 
 
 def test_sweep_parallel_matches_serial(tmp_path, monkeypatch):

@@ -134,12 +134,17 @@ CONFIG_VALUES = {
 @st.composite
 def configs(draw):
     """A subcommand and a JSON config object with a small n_max.  Half the
-    examples hold only the subcommand's keys, with valid values."""
+    examples hold only the subcommand's keys, with valid values.  A run
+    other than a sweep may name an ``input_path`` of junk text, a NUL
+    character included, instead of its problem."""
     command = draw(st.sampled_from(SUBCOMMANDS))
     clean = draw(st.booleans())
     config = {"n_max": draw(st.sampled_from([0, 10, 25] if clean else [0, 25, -1, 801]))}
     if command != "sweep":
-        config["problem"] = PROBLEMS[command]
+        if draw(st.booleans()):
+            config["input_path"] = draw(st.just("a\x00b") | junk)
+        else:
+            config["problem"] = PROBLEMS[command]
     keys = [f.name for f in cli._fields(command) if f.name in CONFIG_VALUES]
     if not clean:
         keys = [*CONFIG_VALUES, "validate", "bogus"]
@@ -153,7 +158,7 @@ def configs(draw):
 @given(case=configs())
 def test_any_json_config_keeps_the_contract(case):
     command, config = case
-    with tempfile.TemporaryDirectory() as tmp:
+    with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):  # a junk input path is relative
         work = Path(tmp)
         path = work / "cfg.json"
         path.write_text(json.dumps(config))  # NaN and Infinity included
@@ -162,9 +167,10 @@ def test_any_json_config_keeps_the_contract(case):
 
 @st.composite
 def csv_runs(draw):
-    """A subcommand and a coefficient CSV text.  Half the examples are well
-    formed: a valid or no header, indices from the variant's start, and
-    moderate values."""
+    """A subcommand and the bytes of a coefficient CSV.  Half the examples
+    are well formed text: a valid or no header, indices from the variant's
+    start, and moderate values.  Some have a byte that is not UTF-8 spliced
+    in anywhere."""
     command = draw(st.sampled_from(["reconstruct", "thermal", "moments"]))
     start = 1 if command == "thermal" else 0
     if draw(st.booleans()):
@@ -177,17 +183,20 @@ def csv_runs(draw):
         values = draw(st.lists(numbers, max_size=15))
     newline = draw(st.sampled_from(["\n", "\r\n"]))
     text = (head + "".join(f"{start + i},{v}\n" for i, v in enumerate(values))).replace("\n", newline)
+    data = text.encode()
+    at = draw(st.integers(0, len(data)))
+    data = data[:at] + draw(st.sampled_from([b"", b"", b"", b"\xff", b"\xc3"])) + data[at:]
     extras = [[], ["--epsilon", "1e-3"]] + ([["--f-mode", "k"]] if command == "moments" else [])
     extra = draw(st.sampled_from(extras))
-    return command, text, extra
+    return command, data, extra
 
 
 @SETTINGS
 @given(case=csv_runs())
 def test_any_coefficient_csv_keeps_the_contract(case):
-    command, text, extra = case
+    command, data, extra = case
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         path = work / "in.csv"
-        path.write_text(text)
+        path.write_bytes(data)
         run([command, "--input", str(path), "--n-max", "20", *extra], work)

@@ -918,6 +918,18 @@ def test_report_sample_rows_are_untracked_tuples(request, fixture, cfg):
     assert digest == EXACT_GATE[cfg][1]
 
 
+@pytest.mark.parametrize("variant", ["power", "thermal"])
+def test_reports_check_the_coefficients_before_the_energies(variant):
+    # c_0 = sqrt(2) 1.7e308 and M_0 = c_0^2 both leave the double range; the
+    # synthesis range check runs first, so the error names c_0, not M_0.
+    cs = corpus.CoefficientSet(values=np.array([1.7e308]), start_index=1 if variant == "thermal" else 0)
+    with pytest.raises(InputError, match=r"^c_0 lies outside the double range"):
+        if variant == "thermal":
+            thermal.build_thermal_report(thermal.ThermalProblem(coefficients=cs))
+        else:
+            reconstruct.build_report(cs)
+
+
 def test_degenerate_single_coefficient_run_is_flagged():
     cs = corpus.CoefficientSet(values=np.array([1.0]))
     rep = reconstruct.build_report(cs, n_max=30)
