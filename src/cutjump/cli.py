@@ -399,7 +399,7 @@ def _sweep_cell(cell: tuple[int, RunConfig]) -> dict:
 # early, so their estimate is high.
 def _cell_seconds(n: int, n_max: int, epsilon: float) -> float:
     if epsilon > 0.0:
-        n_max = min(n_max, max(reconstruct.SYNTHESIS_BLOCK, 8.0 * epsilon ** (-1 / 7)))
+        n_max = min(n_max, max(32.0, 8.0 * epsilon ** (-1 / 7)))
     return 2.2e-4 + 4.0e-6 * n + n_max * (7.2e-6 + n * (4.7e-8 + 2.7e-10 * n))
 
 

@@ -295,10 +295,11 @@ def _parse_coefficient_lines(text: str) -> tuple[list[tuple[int, float]], float]
 def _load(path, expected_start: int) -> CoefficientSet:
     data = Path(path).read_bytes()
     try:
-        text = data.decode("utf-8")
+        text = data.decode("utf-8-sig")  # a leading byte-order mark is dropped
     except UnicodeDecodeError as exc:  # numbered as the parser numbers lines
-        line = len((data[: exc.start].decode("utf-8") + "x").splitlines())
-        raise ParseError(f"not UTF-8 text (byte 0x{data[exc.start]:02x})", line) from None
+        read = exc.object  # the bytes after any byte-order mark
+        line = len((read[: exc.start].decode("utf-8") + "x").splitlines())
+        raise ParseError(f"not UTF-8 text (byte 0x{read[exc.start]:02x})", line) from None
     pairs, eps = _parse_coefficient_lines(text)
     if pairs[0][0] != expected_start:
         raise ParseError(

@@ -19,18 +19,17 @@ never tabulated.  Their generating function, sum_n q_n^(k) t^n =
 turns the whole sum over k into a polynomial in u = (1 - t)/(1 + t).  In
 y = t/(1 - t) that polynomial is a Taylor shift of the weights (von zur
 Gathen and Gerhard 1997), and Horner's scheme in y needs one prefix sum per
-step: big-integer additions only (``_exact_sums``).  The scheme runs in
-blocks of columns (``_sum_blocks``): each level, shifted so that it starts
-at its own column, carries its last value into the next block, so a block
-needs only the columns before it and skips the levels that start past its
-end.  One routine, ``_synthesis``, serves reports and sweep cells.  A
-report takes one block of n_max + 1 columns.  A sweep cell takes blocks
-of ``SYNTHESIS_BLOCK`` columns and stops once it holds every energy that
-``detect_plateau`` reads, unless a bound on the sums leaves room for a
-coefficient beyond the double range.  Each coefficient is rounded once:
-the rounding brackets sqrt(2) between two 64-bit integers and keeps the
-exact square root for the rare coefficient whose bracket straddles a
-rounding boundary (Ziv 1991; ``_sqrt2_ratio``).
+step: big-integer additions only (``_exact_sums``).  The scheme runs one
+column at a time (``_sum_columns``): with each level shifted to start at its
+own column, column n is the prefix sum of column n - 1, so a caller may stop
+after any column.  One routine, ``_synthesis``, serves reports and sweep
+cells.  A report reads n_max + 1 columns.  A sweep cell stops at the last
+energy that ``detect_plateau`` reads, unless a bound on the sums leaves room
+for a coefficient beyond the double range.  Each coefficient is rounded once,
+at one multiplication: an integer f with sqrt(2) 2^p / D in [f, f + 1),
+formed once per synthesis, brackets sqrt(2) S_n / D within 2^-66 relative,
+and the exact square root decides the rare coefficient whose bracket
+straddles a rounding boundary (Ziv 1991; ``_sqrt2_rounding``).
 
 Sign convention: the expansion coefficients and basis functions each carry a
 phase i^n; their product is real, equal to (-1)^n times the rotated real
@@ -56,10 +55,11 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, count, islice
 from typing import Callable, ClassVar, Iterator, Sequence
 
 import numpy as np
@@ -118,56 +118,39 @@ def _weights(values: np.ndarray) -> tuple[list[int], int]:
     denominator, and w_k = (-1)^k ((K-1)!/k!) (v_k 2^s).
     """
     ratios = [float(v).as_integer_ratio() for v in values]
-    shift = max(den.bit_length() - 1 for _, den in ratios)
-    weights = [0] * len(ratios)
-    fact = 1  # (K-1)! / k!, built from k = K-1 down
-    for k in reversed(range(len(ratios))):
-        num, den = ratios[k]
-        w = fact * num * ((1 << shift) // den)
-        weights[k] = -w if k % 2 else w
-        fact *= max(k, 1)
-    return weights, fact << shift
+    bits = max(den.bit_length() for _, den in ratios)  # s + 1
+    facts = list(accumulate(range(len(ratios) - 1, 0, -1), operator.mul, initial=1))  # (K-1)!/k!, k = K-1 down to 0
+    weights = [
+        (-num if k % 2 else num) * fact << bits - den.bit_length()
+        for k, ((num, den), fact) in enumerate(zip(ratios, reversed(facts)))
+    ]
+    return weights, facts[-1] << bits - 1
 
 
-def _sum_blocks(weights: list[int], n_max: int, width: int) -> Iterator[list[int]]:
-    """S_0..S_{n_max} of ``_exact_sums``, ``width`` columns at a time.
+def _sum_columns(weights: list[int]) -> Iterator[int]:
+    """S_0, S_1, ... of ``_exact_sums``, one column at a time.
 
     A Taylor shift (repeated prefix sums over the reversed weights) gives
-    P(1 + 2y) = sum_j b_j y^j with b_j = 2^j sum_k C(k, j) w_k; since y^j
-    starts at t^j, only j <= J = min(K-1, n_max) matter.  Horner's scheme in
-    y = t/(1 - t) then runs from L_J = b_J / (1 - t) down to L_0, with
-    L_j = b_j / (1 - t) + y L_{j+1}, and (-1)^n S_n is the t^n coefficient
-    of L_0.  Shifted to start at its own column, K_j[n] = L_j[n - j] (0 for
-    n < j), each level is the prefix sum of the one above with b_j added at
-    column j: the division by 1 - t is the prefix sum, and the shift by t
-    is the column offset.  No step multiplies.
-
-    Each block runs one prefix sum per level over its own columns, from the
-    top, seeded with the level's last value in the block before.  A block
-    depends only on the columns before it, so the sums are the same whatever
-    the width and a caller may stop after any block.  Levels j at or past a
-    block's end are zero throughout it, so the block skips them, and the
-    Taylor shift runs only as far as the deepest level used so far.
+    P(1 + 2y) = sum_j b_j y^j with b_j = 2^j sum_k C(k, j) w_k, j < K; its
+    next pass gives the next b_j.  Horner's scheme in y = t/(1 - t) then
+    runs from L_{K-1} = b_{K-1} / (1 - t) down to L_0, with L_j = b_j / (1 -
+    t) + y L_{j+1}, and (-1)^n S_n is the t^n coefficient of L_0.  Shifted to
+    start at its own column, K_j[n] = L_j[n - j] (0 for n < j), each level is
+    the prefix sum of the one above with b_j added at column j: the division
+    by 1 - t is the prefix sum, and the shift by t is the column offset.  So
+    column n, the levels top-down, is the prefix sum of column n - 1 with
+    b_n put on top (none once n >= K), and (-1)^n S_n is its last entry.  No
+    step multiplies, and a caller may stop after any column.
     """
-    levels = min(len(weights), n_max + 1)
     shifted = weights[::-1]
-    b = []
-    seeds = [0] * levels  # K_j at the column before the block
-    for n0 in range(0, n_max + 1, width):
-        n1 = min(n0 + width, n_max + 1)
-        while len(b) < min(levels, n1):  # the shift's next pass gives the next b_j
+    col: list[int] = []
+    for n in count():
+        if shifted:
             shifted = list(accumulate(shifted))
-            b.append(shifted.pop() << len(b))
-        col = [0] * (n1 - n0)
-        for j in reversed(range(len(b))):
-            col[0] += seeds[j]
-            if j >= n0:
-                col[j - n0] += b[j]
+            col = list(accumulate(col, initial=shifted.pop() << n))
+        else:
             col = list(accumulate(col))
-            seeds[j] = col[-1]
-        odd = (n0 + 1) % 2  # the first odd n of the block
-        col[odd::2] = [-s for s in col[odd::2]]
-        yield col
+        yield -col[-1] if n % 2 else col[-1]
 
 
 def _exact_sums(values: np.ndarray, n_max: int) -> tuple[list[int], int]:
@@ -179,28 +162,25 @@ def _exact_sums(values: np.ndarray, n_max: int) -> tuple[list[int], int]:
     coefficients of P(u) / (1 + t), with P(u) = sum_k w_k u^k and u = (1 -
     t)/(1 + t).  On the alternated coefficients (-1)^n S_n, t becomes -t
     and u becomes v = (1 + t)/(1 - t) = 1 + 2y, y = t/(1 - t), a polynomial
-    in y that ``_sum_blocks`` expands by Horner's scheme, here as one block
-    (each step is lower-triangular in t, so truncating at t^{n_max} is
-    exact).
+    in y that ``_sum_columns`` expands by Horner's scheme (each step is
+    lower-triangular in t, so stopping at t^{n_max} is exact).
     """
     weights, d = _weights(values)
-    (sums,) = _sum_blocks(weights, n_max, n_max + 1)
-    return sums, d
+    return list(islice(_sum_columns(weights), n_max + 1)), d
 
 
 def _sum_bound(weights: list[int], n_max: int) -> int:
-    """sum_k |w_k| 2^k C(n_max + k, k), a bound on every |S_n|, n <= n_max.
+    """A bound on every |S_n|, n <= n_max.
 
     The series of (1 + t)^k / (1 - t)^{k+1} majorizes that of the rotated
     values, (1 - t)^k / (1 + t)^{k+1}, coefficientwise, and its t^n
     coefficient, sum_j C(k, j) C(n - j + k, k), is at most 2^k C(n + k, k),
-    which does not decrease with n.
+    which does not decrease with n.  So |S_n| <= sum_k |w_k| 2^k C(n_max +
+    k, k), below 2^b sum_{k<K} C(n_max + k, k) = 2^b C(n_max + K, K - 1)
+    (the hockey-stick identity), b the largest bit length of |w_k| 2^k.
     """
-    bound, binom = 0, 1  # binom = C(n_max + k, k)
-    for k, w in enumerate(weights):
-        bound += abs(w) * binom << k
-        binom = binom * (n_max + k + 1) // (k + 1)
-    return bound
+    top = max(w.bit_length() + k for k, w in enumerate(weights))
+    return math.comb(n_max + len(weights), len(weights) - 1) << top
 
 
 def _sqrt_ratio(m: int, d: int) -> float:
@@ -223,34 +203,48 @@ def _sqrt_ratio(m: int, d: int) -> float:
         return math.inf
 
 
-# floor(sqrt(2) 2^64): sqrt(2) lies in [_SQRT2_FLOOR, _SQRT2_FLOOR + 1) / 2^64.
-_SQRT2_BITS = 64
-_SQRT2_FLOOR = math.isqrt(2 << (2 * _SQRT2_BITS))
+def _sqrt2_over(d: int) -> tuple[int, int]:
+    """f and p with sqrt(2) 2^p / d in [f, f + 1), for an integer d > 0.
+
+    p = bits(d) + 66 and f = isqrt(2 4^p) // d, the floor of a floor, so
+    floor(sqrt(2) 2^p / d); f >= 2^66, as d < 2^bits(d).
+    """
+    p = d.bit_length() + 66
+    return math.isqrt(2 << 2 * p) // d, p
+
+
+def _sqrt2_rounding(d: int) -> Callable[[int], float]:
+    """s -> sqrt(2) s / d correctly rounded to a double, for integers s.
+
+    With f and p from ``_sqrt2_over``, sqrt(2) |s| / d lies in [|s| f,
+    |s| f + |s|) / 2^p, a bracket at most 2^-66 wide relative to its ends,
+    at one multiplication per s.  Python's int / int division rounds each
+    end correctly, and rounding is monotone, so when both ends round to the
+    same double that double is the answer (Ziv's rounding test); otherwise,
+    rarely, the exact ``_sqrt_ratio`` decides, as it does for results
+    beyond the double range.
+    """
+    f, p = _sqrt2_over(d)
+    scale = 1 << p
+
+    def rounded(s: int) -> float:
+        a = abs(s)
+        lo = a * f
+        try:
+            x = lo / scale
+            settled = x == (lo + a) / scale
+        except OverflowError:  # an end lies beyond the double range
+            settled = False
+        if not settled:
+            x = _sqrt_ratio(2 * a * a, d)
+        return -x if s < 0 else x
+
+    return rounded
 
 
 def _sqrt2_ratio(s: int, d: int) -> float:
-    """sqrt(2) s / d correctly rounded to a double, for integers s and d > 0.
-
-    With t = floor(|s| 2^e / d), e chosen so that t has at least 65 bits,
-    sqrt(2) |s| 2^(64+e) / d lies in [R t, (R + 1)(t + 1)), R = _SQRT2_FLOOR:
-    a bracket about 2^-64 wide relative to its ends, however large |s| / d
-    is.  Rounding is monotone, so when both ends round to the same double
-    that double is the answer (Ziv's rounding test); otherwise, rarely, the
-    exact ``_sqrt_ratio`` decides, as it does for zero and for results
-    beyond the double range.
-    """
-    a = abs(s)
-    e = max(0, 66 + d.bit_length() - a.bit_length())
-    t = (a << e) // d
-    scale = 1 << (_SQRT2_BITS + e)
-    try:
-        x = _SQRT2_FLOOR * t / scale
-        settled = x == (_SQRT2_FLOOR + 1) * (t + 1) / scale
-    except OverflowError:  # an end lies beyond the double range
-        settled = False
-    if not settled:
-        x = _sqrt_ratio(2 * a * a, d)
-    return -x if s < 0 else x
+    """sqrt(2) s / d correctly rounded to a double (``_sqrt2_rounding``)."""
+    return _sqrt2_rounding(d)(s)
 
 
 def _checked(values, n_max: int) -> np.ndarray:
@@ -466,41 +460,36 @@ def detect_plateau(M: Sequence[float], policy: PlateauPolicy | None = None) -> P
 # finite for any n_max below 2^20 (the CLI allows 800), so no value past the
 # stopping depth could have raised the full synthesis' range error.
 STOP_BOUND_BITS = 500
-# Columns per block of the stopping synthesis.  Each block costs one
-# Python-level prefix sum per Horner level and one scan of the energies, so
-# narrow blocks pay that often and wide ones synthesize past the depth
-# needed.  In-process sweep cells of normalized_rational at n_max = 200, on a
-# 2-vCPU VM (median of 15 shuffled rounds, two runs): noisy N = 60 cells (one
-# per epsilon, 1e-3 to 1e-7) took 0.82 ms at 8 columns, 0.73-0.76 at 16,
-# 0.69-0.70 at 24, 0.72 at 32, 0.73-0.75 at 48 and 1.22-1.27 ms in one
-# block; noise-free cells (N = 20, 60, 120), which read to n_max, 1.53-1.58
-# ms at 32 columns against 1.44-1.52 ms in one block.
-SYNTHESIS_BLOCK = 32
 
 
 def _synthesis(values, n_max: int, w_min: int | None = None) -> np.ndarray:
     """c_0..c_{n_max}, or given ``w_min`` the prefix c_0..c_{g + w_min} that
     ``detect_plateau`` reads, g being the divergence guard.
 
-    Each c_n is (-1)^n sqrt(2) S_n / D (``_exact_sums``), rounded once by
-    ``_sqrt2_ratio``.  Given ``w_min``, the sums come ``SYNTHESIS_BLOCK``
-    columns at a time until a block holds both a guard and c_{g + w_min};
-    no c_n depends on n_max, so the prefix is the full synthesis' own.  Else,
-    or if a bound on the sums leaves room for a value outside the double
-    range (``STOP_BOUND_BITS``) and so for the full synthesis' range error,
-    they come as one block.  InputError names the first c_n out of range.
+    Each c_n is (-1)^n sqrt(2) S_n / D, S_n from ``_sum_columns``, rounded
+    once as it arrives (``_sqrt2_rounding``).  Given ``w_min``, the running
+    energy and the guard's growth test take the IEEE operations of
+    ``partial_energies`` and ``_growth`` in Python floats, and the synthesis
+    stops at column g + w_min; no c_n depends on n_max, so the prefix is the
+    full synthesis' own.  It runs to n_max without ``w_min``, or if a bound
+    on the sums leaves room for a value outside the double range
+    (``STOP_BOUND_BITS``) and so for the full synthesis' range error.
+    InputError names the first c_n out of range.
     """
     values = _checked(values, n_max)
     weights, d = _weights(values)
     stop = w_min is not None and _sum_bound(weights, n_max).bit_length() - d.bit_length() < STOP_BOUND_BITS
+    rounding = _sqrt2_rounding(d)
     rounded = []  # c_n up to the phase (-1)^n, which the energies do not see
-    for block in _sum_blocks(weights, n_max, SYNTHESIS_BLOCK if stop else n_max + 1):
-        rounded += [_sqrt2_ratio(s, d) for s in block]
+    energy, guard = 0.0, n_max
+    for n, s in enumerate(islice(_sum_columns(weights), n_max + 1)):
+        x = rounding(s)
+        rounded.append(x)
         if stop:
-            M = partial_energies(rounded)
-            depth = _divergence_guard(_growth(M)) + w_min + 1  # above M.size without a guard
-            if depth <= len(rounded):
-                del rounded[depth:]
+            last, energy = energy, energy + x * x
+            if n >= 2 and guard == n_max and (energy - last) / max(last, GROWTH_FLOOR) >= DIVERGENCE_GROWTH:
+                guard = n - 1
+            if n == guard + w_min:
                 break
     c = np.array(rounded)
     c[1::2] = -c[1::2]

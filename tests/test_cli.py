@@ -217,6 +217,30 @@ def test_non_utf8_input_exits_one_naming_the_line(tmp_path, capsys, command):
     assert not list(out.glob("*"))
 
 
+@pytest.mark.parametrize("header", ["", "# epsilon=1e-3\n"], ids=["bare", "header"])
+@pytest.mark.parametrize("command", ["reconstruct", "thermal", "moments"])
+def test_byte_order_mark_is_ignored(tmp_path, command, header):
+    # Spreadsheet programs save "CSV UTF-8" with a leading byte-order mark;
+    # the file must read as the same data without it, byte for byte.
+    start = 1 if command == "thermal" else 0
+    text = header + "".join(f"{start + k},{0.5**k!r}\n" for k in range(6))
+    f, out = tmp_path / "data.csv", tmp_path / "out"
+    outputs = []
+    for data in (b"\xef\xbb\xbf" + text.encode(), text.encode()):
+        f.write_bytes(data)
+        assert run_cli([command, "--input", str(f), "--out", str(out), "--emit", "both"]) == cli.EXIT_OK
+        outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    assert outputs[0] == outputs[1]
+    assert outputs[0]
+
+
+def test_byte_order_mark_keeps_the_line_of_a_bad_byte(tmp_path, capsys):
+    f = tmp_path / "bad.csv"
+    f.write_bytes(b"\xef\xbb\xbf# epsilon=1e-3\n0,1.0\n1,\xff0.5\n")
+    assert run_cli(["reconstruct", "--input", str(f), "--out", str(tmp_path / "out")]) == cli.EXIT_ERROR
+    assert capsys.readouterr().err.startswith("error: line 3: not UTF-8 text (byte 0xff)")
+
+
 @pytest.mark.parametrize(
     "command,config,needle",
     [("reconstruct", {"input_path": "a\x00b"}, "input:")]

@@ -1,5 +1,6 @@
 import gc
 import hashlib
+import itertools
 import json
 import math
 import random
@@ -33,7 +34,7 @@ from cutjump.reconstruct import (
 )
 from cutjump.specfun import integrate_adaptive, laguerre_scaled_seq
 from plateau_loops import energy_decay_exponent_loop, flat_runs_loop
-from rotated import rotated_closed_form
+from rotated import rotated_closed_form, rotated_int_seq
 
 
 # ---------------------------------------------------------------- synthesis
@@ -205,19 +206,29 @@ def test_exact_sums_equal_the_closed_form_sums(values, n_max):
         assert Fraction(s, d) == want
 
 
-def test_blocked_sums_equal_the_one_block_sums():
-    # Any block width gives the sums of the single block that the gates
-    # above pin, each block but the last holding exactly ``width`` columns.
+def _column_shapes(rng, draws):
+    """(K, n_max) pairs with K in 1..80 and n_max in 0..300, starting with
+    the corners: K above n_max + 1, and n_max far above K."""
+    yield from [(1, 0), (80, 0), (80, 3), (80, 78), (1, 300), (3, 300), (80, 300)]
+    for _ in range(draws):
+        yield int(rng.integers(1, 81)), int(rng.integers(0, 301))
+
+
+def test_column_sums_equal_the_recurrence_sums_and_stop_on_a_prefix():
+    # The column kernel gives S_n = sum_k w_k q_n^(k) with q from the
+    # integer recurrence, the values the sums gates above pin through
+    # ``_exact_sums``, and a stream stopped after any column is a prefix.
     rng = np.random.default_rng(26)
-    for _ in range(150):
-        k, n_max, width = int(rng.integers(1, 81)), int(rng.integers(0, 301)), int(rng.integers(1, 41))
+    for k, n_max in _column_shapes(rng, 25):
         values = rng.choice([-1.0, 1.0], k) * 10.0 ** rng.uniform(-8.0, 3.0, k)
-        sums, d = reconstruct._exact_sums(values, n_max)
-        weights, d_blocked = reconstruct._weights(values)
-        blocks = list(reconstruct._sum_blocks(weights, n_max, width))
-        assert d_blocked == d
-        assert [len(b) for b in blocks[:-1]] == [width] * (len(blocks) - 1)
-        assert [s for b in blocks for s in b] == sums
+        weights, d = reconstruct._weights(values)
+        columns = reconstruct._sum_columns(weights)
+        sums = [next(columns) for _ in range(n_max + 1)]
+        rows = [rotated_int_seq(n_max, j) for j in range(k)]
+        assert sums == [sum(w * row[n] for w, row in zip(weights, rows)) for n in range(n_max + 1)], (k, n_max)
+        assert reconstruct._exact_sums(values, n_max) == (sums, d)
+        for stop in {0, n_max // 2, n_max, int(rng.integers(0, n_max + 1))}:
+            assert list(itertools.islice(reconstruct._sum_columns(weights), stop + 1)) == sums[: stop + 1]
 
 
 def test_sum_bound_bounds_every_sum():
@@ -227,6 +238,25 @@ def test_sum_bound_bounds_every_sum():
         values = rng.choice([-1.0, 1.0], k) * 10.0 ** rng.uniform(-8.0, 3.0, k)
         sums, _ = reconstruct._exact_sums(values, n_max)
         assert max(map(abs, sums)) <= reconstruct._sum_bound(reconstruct._weights(values)[0], n_max)
+
+
+def test_stopping_synthesis_ends_at_the_guard_plus_the_window():
+    # Given w_min, a noisy synthesis returns c_0..c_{g + w_min} of the full
+    # synthesis and nothing more, g being the divergence guard of the full
+    # energies (n_max without one), however n_max cuts it.
+    rng = np.random.default_rng(28)
+    problems = [pid for pid in corpus.BUILTIN_IDS if corpus.builtin(pid).start_index == 0]
+    for _ in range(200):
+        spec = corpus.builtin(str(rng.choice(problems)))
+        n = int(rng.choice([1, 2, 10, 20, 60, 120]))
+        eps = float(rng.choice([0.3, *(10.0**-k for k in range(1, 10))]))
+        n_max, w_min = int(rng.choice([0, 1, 7, 30, 200])), int(rng.integers(2, 31))
+        values = corpus.coefficients(spec, n, epsilon=eps, seed=int(rng.integers(0, 2**32))).values
+        full = reconstruct._synthesis(values, n_max)
+        g = reconstruct._divergence_guard(reconstruct._growth(partial_energies(full)))
+        c = reconstruct._synthesis(values, n_max, w_min)
+        assert c.size == min(n_max + 1, g + w_min + 1), (spec.id, n, eps, n_max, w_min)
+        assert np.array_equal(c, full[: c.size])
 
 
 # ----------------------------------------------------- exact final rounding
@@ -369,6 +399,17 @@ def test_sqrt2_ratio_near_midpoints_take_the_exact_path(monkeypatch):
     exact_calls.clear()
     synthesize_coefficients(corpus.coefficients(corpus.builtin("normalized_rational"), 60, 1e-6, 5), 200)
     assert len(exact_calls) <= 2
+
+
+def test_sqrt2_bracket_holds_in_integers():
+    # sqrt(2) 2^p / d lies in [f, f + 1): (f d)^2 <= 2 4^p < ((f + 1) d)^2,
+    # and f has at least 67 bits, so the bracket of sqrt(2) s / d is at most
+    # 2^-66 wide relative to its ends.
+    rng = random.Random(29)
+    for d in [1, 2, 3, 2**1074, 3**700] + [rng.getrandbits(rng.randint(1, 3000)) or 1 for _ in range(2000)]:
+        f, p = reconstruct._sqrt2_over(d)
+        assert (f * d) ** 2 <= 2 << 2 * p < ((f + 1) * d) ** 2, d
+        assert f >> 66 >= 1
 
 
 # ----------------------------------------------------------------- energies
