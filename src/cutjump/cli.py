@@ -382,21 +382,23 @@ def _sweep_cell(cell: tuple[int, RunConfig]) -> dict:
 
 # Estimated seconds of one sweep cell with N coefficients at depth n_max and
 # noise bound epsilon.  A cell synthesizes only as deep as the truncation
-# search reads (``reconstruct._synthesis`` with w_min), in whole blocks:
-# noise-free cells mostly read to n_max, and noisy ones stop sooner the
-# larger the noise, which the estimate takes as min(n_max, max(one block,
-# 8 epsilon^(-1/7))) columns.  Over three seeds per normalized_rational cell
-# the median stopping depth was 17-24 at epsilon 1e-3, 30-51 at 1e-5 and
-# 51-152 (some cells to n_max) at 1e-7.  Each column makes one prefix-sum
-# pass per level over integers that grow with N, hence the N^2 term per
-# column.  The coefficients are a least-squares fit (relative error) to
-# steady in-process cell times on a 2-vCPU VM, at the depth each cell
-# synthesized, N in {1, 20, 60, 120, 250, 400, 700, 1000} x n_max in {0, 50,
-# 200, 400, 800} x epsilon in {0, 1e-3, 1e-5, 1e-7}, each the geometric mean
-# of two passes over the grid: rms error 14%, worst 40%.  With the depth
-# taken from epsilon, noisy cells are estimated within 27% rms (worst 93%).
-# Noise-free cells with few coefficients (N = 1 and 20 here) also stop
-# early, so their estimate is high.
+# search reads (``reconstruct._synthesis`` with w_min): noise-free cells
+# mostly read to n_max, and noisy ones stop sooner the larger the noise,
+# which the estimate takes as min(n_max, max(32, 8 epsilon^(-1/7))) columns.
+# Over three seeds per normalized_rational cell the median stopping depth was
+# 17-24 at epsilon 1e-3, 30-51 at 1e-5 and 51-152 (some cells to n_max) at
+# 1e-7.  Each column makes one prefix-sum pass per level over integers that
+# grow with N, hence the N^2 term per column.  The coefficients are a
+# least-squares fit (relative error) to steady in-process cell times on a
+# 2-vCPU VM, at the depth each cell synthesized, when synthesis still ran in
+# blocks of 32 columns, N in {1, 20, 60, 120, 250, 400, 700, 1000} x n_max in
+# {0, 50, 200, 400, 800} x epsilon in {0, 1e-3, 1e-5, 1e-7}, each the
+# geometric mean of two passes over the grid: rms error 14%, worst 40%.  With
+# the depth taken from epsilon, noisy cells are estimated within 27% rms
+# (worst 93%).  Noise-free cells with few coefficients (N = 1 and 20 here)
+# also stop early, so their estimate is high.  The fit and the floor of 32
+# columns (once one block) are kept since cells synthesize column by column:
+# see SWEEP_POOL_MIN_S for what that moved.
 def _cell_seconds(n: int, n_max: int, epsilon: float) -> float:
     if epsilon > 0.0:
         n_max = min(n_max, max(32.0, 8.0 * epsilon ** (-1 / 7)))
@@ -416,6 +418,13 @@ def _cell_seconds(n: int, n_max: int, epsilon: float) -> float:
 # took them at full depth, and the same method found the break-even for
 # noisy cells at about 90-100 ms of that estimate (45-50 ms before the
 # change), so the estimate was refitted rather than the threshold moved.
+# Once synthesis ran column by column, the same method (N = 60 cells, 30
+# pairs per size, both commits in one sitting) put the noise-free break-even
+# at about 60 ms of the estimate, against 55 ms before the change, and the
+# noisy one near 110 ms (13 of 30 pool wins), against 80 ms (18 of 30 at 89
+# ms) before: the old commit read above 45 ms in that sitting too, and the
+# noisy cells, at about 0.5 ms each, are bounded by the pool's cost per cell,
+# which an estimate of serial work does not model.  So neither number moved.
 SWEEP_POOL_MIN_S = 0.045
 
 
