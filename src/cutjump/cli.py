@@ -397,8 +397,8 @@ def _sweep_cell(cell: tuple[int, RunConfig]) -> dict:
 # the depth taken from epsilon, noisy cells are estimated within 27% rms
 # (worst 93%).  Noise-free cells with few coefficients (N = 1 and 20 here)
 # also stop early, so their estimate is high.  The fit and the floor of 32
-# columns (once one block) are kept since cells synthesize column by column:
-# see SWEEP_POOL_MIN_S for what that moved.
+# columns (once one block) were kept when synthesis went column by column;
+# SWEEP_POOL_MIN_S says why.
 def _cell_seconds(n: int, n_max: int, epsilon: float) -> float:
     if epsilon > 0.0:
         n_max = min(n_max, max(32.0, 8.0 * epsilon ** (-1 / 7)))

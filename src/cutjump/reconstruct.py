@@ -481,7 +481,7 @@ def _synthesis(values, n_max: int, w_min: int | None = None) -> np.ndarray:
     stop = w_min is not None and _sum_bound(weights, n_max).bit_length() - d.bit_length() < STOP_BOUND_BITS
     rounding = _sqrt2_rounding(d)
     rounded = []  # c_n up to the phase (-1)^n, which the energies do not see
-    energy, guard = 0.0, n_max
+    energy, guard = 0.0, n_max  # no guard yet: ``_divergence_guard``'s growth.size at full depth
     for n, s in enumerate(islice(_sum_columns(weights), n_max + 1)):
         x = rounding(s)
         rounded.append(x)
