@@ -384,21 +384,21 @@ def _sweep_cell(cell: tuple[int, RunConfig]) -> dict:
 # noise bound epsilon.  A cell synthesizes only as deep as the truncation
 # search reads (``reconstruct._synthesis`` with w_min): noise-free cells
 # mostly read to n_max, and noisy ones stop sooner the larger the noise,
-# which the estimate takes as min(n_max, max(32, 8 epsilon^(-1/7))) columns.
+# which the estimate takes as min(n_max, max(32, 8 epsilon^(-1/7))) columns,
+# 32 being the shallowest depth of the noisy cells the fit was made on.
 # Over three seeds per normalized_rational cell the median stopping depth was
 # 17-24 at epsilon 1e-3, 30-51 at 1e-5 and 51-152 (some cells to n_max) at
 # 1e-7.  Each column makes one prefix-sum pass per level over integers that
 # grow with N, hence the N^2 term per column.  The coefficients are a
 # least-squares fit (relative error) to steady in-process cell times on a
-# 2-vCPU VM, at the depth each cell synthesized, when synthesis still ran in
-# blocks of 32 columns, N in {1, 20, 60, 120, 250, 400, 700, 1000} x n_max in
-# {0, 50, 200, 400, 800} x epsilon in {0, 1e-3, 1e-5, 1e-7}, each the
-# geometric mean of two passes over the grid: rms error 14%, worst 40%.  With
-# the depth taken from epsilon, noisy cells are estimated within 27% rms
-# (worst 93%).  Noise-free cells with few coefficients (N = 1 and 20 here)
-# also stop early, so their estimate is high.  The fit and the floor of 32
-# columns (once one block) were kept when synthesis went column by column;
-# SWEEP_POOL_MIN_S says why.
+# 2-vCPU VM, at the depth each cell synthesized, N in {1, 20, 60, 120, 250,
+# 400, 700, 1000} x n_max in {0, 50, 200, 400, 800} x epsilon in {0, 1e-3,
+# 1e-5, 1e-7}, each the geometric mean of two passes over the grid: rms
+# error 14%, worst 40%.  With the depth taken from epsilon, noisy cells are
+# estimated within 27% rms (worst 93%).  Noise-free cells with few
+# coefficients (N = 1 and 20 here) also stop early, so their estimate is
+# high.  Cells run faster than the fit, but the estimate is calibrated
+# with SWEEP_POOL_MIN_S, whose break-even did not move (see there).
 def _cell_seconds(n: int, n_max: int, epsilon: float) -> float:
     if epsilon > 0.0:
         n_max = min(n_max, max(32.0, 8.0 * epsilon ** (-1 / 7)))

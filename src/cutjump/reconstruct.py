@@ -55,7 +55,6 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -118,13 +117,15 @@ def _weights(values: np.ndarray) -> tuple[list[int], int]:
     denominator, and w_k = (-1)^k ((K-1)!/k!) (v_k 2^s).
     """
     ratios = [float(v).as_integer_ratio() for v in values]
-    bits = max(den.bit_length() for _, den in ratios)  # s + 1
-    facts = list(accumulate(range(len(ratios) - 1, 0, -1), operator.mul, initial=1))  # (K-1)!/k!, k = K-1 down to 0
-    weights = [
-        (-num if k % 2 else num) * fact << bits - den.bit_length()
-        for k, ((num, den), fact) in enumerate(zip(ratios, reversed(facts)))
-    ]
-    return weights, facts[-1] << bits - 1
+    shift = max(den.bit_length() - 1 for _, den in ratios)
+    weights = [0] * len(ratios)
+    fact = 1  # (K-1)! / k!, built from k = K-1 down
+    for k in reversed(range(len(ratios))):
+        num, den = ratios[k]
+        w = fact * num * ((1 << shift) // den)
+        weights[k] = -w if k % 2 else w
+        fact *= max(k, 1)
+    return weights, fact << shift
 
 
 def _sum_columns(weights: list[int]) -> Iterator[int]:
@@ -170,17 +171,18 @@ def _exact_sums(values: np.ndarray, n_max: int) -> tuple[list[int], int]:
 
 
 def _sum_bound(weights: list[int], n_max: int) -> int:
-    """A bound on every |S_n|, n <= n_max.
+    """sum_k |w_k| 2^k C(n_max + k, k), a bound on every |S_n|, n <= n_max.
 
     The series of (1 + t)^k / (1 - t)^{k+1} majorizes that of the rotated
     values, (1 - t)^k / (1 + t)^{k+1}, coefficientwise, and its t^n
     coefficient, sum_j C(k, j) C(n - j + k, k), is at most 2^k C(n + k, k),
-    which does not decrease with n.  So |S_n| <= sum_k |w_k| 2^k C(n_max +
-    k, k), below 2^b sum_{k<K} C(n_max + k, k) = 2^b C(n_max + K, K - 1)
-    (the hockey-stick identity), b the largest bit length of |w_k| 2^k.
+    which does not decrease with n.
     """
-    top = max(w.bit_length() + k for k, w in enumerate(weights))
-    return math.comb(n_max + len(weights), len(weights) - 1) << top
+    bound, binom = 0, 1  # binom = C(n_max + k, k)
+    for k, w in enumerate(weights):
+        bound += abs(w) * binom << k
+        binom = binom * (n_max + k + 1) // (k + 1)
+    return bound
 
 
 def _sqrt_ratio(m: int, d: int) -> float:
@@ -203,28 +205,22 @@ def _sqrt_ratio(m: int, d: int) -> float:
         return math.inf
 
 
-def _sqrt2_over(d: int) -> tuple[int, int]:
-    """f and p with sqrt(2) 2^p / d in [f, f + 1), for an integer d > 0.
+def _sqrt2_rounding(d: int) -> Callable[[int], float]:
+    """s -> sqrt(2) s / d correctly rounded to a double, for integers s and
+    d > 0.
 
-    p = bits(d) + 66 and f = isqrt(2 4^p) // d, the floor of a floor, so
-    floor(sqrt(2) 2^p / d); f >= 2^66, as d < 2^bits(d).
+    With p = bits(d) + 66 and f = isqrt(2 4^p) // d, the floor of a floor,
+    sqrt(2) 2^p / d lies in [f, f + 1) and f >= 2^66, as d < 2^bits(d); the
+    returned function carries f and p as attributes.  So sqrt(2) |s| / d
+    lies in [|s| f, |s| f + |s|) / 2^p, a bracket at most 2^-66 wide
+    relative to its ends, at one multiplication per s.  Python's int / int
+    division rounds each end correctly, and rounding is monotone, so when
+    both ends round to the same double that double is the answer (Ziv's
+    rounding test); otherwise, rarely, the exact ``_sqrt_ratio`` decides, as
+    it does for results beyond the double range.
     """
     p = d.bit_length() + 66
-    return math.isqrt(2 << 2 * p) // d, p
-
-
-def _sqrt2_rounding(d: int) -> Callable[[int], float]:
-    """s -> sqrt(2) s / d correctly rounded to a double, for integers s.
-
-    With f and p from ``_sqrt2_over``, sqrt(2) |s| / d lies in [|s| f,
-    |s| f + |s|) / 2^p, a bracket at most 2^-66 wide relative to its ends,
-    at one multiplication per s.  Python's int / int division rounds each
-    end correctly, and rounding is monotone, so when both ends round to the
-    same double that double is the answer (Ziv's rounding test); otherwise,
-    rarely, the exact ``_sqrt_ratio`` decides, as it does for results
-    beyond the double range.
-    """
-    f, p = _sqrt2_over(d)
+    f = math.isqrt(2 << 2 * p) // d
     scale = 1 << p
 
     def rounded(s: int) -> float:
@@ -239,12 +235,8 @@ def _sqrt2_rounding(d: int) -> Callable[[int], float]:
             x = _sqrt_ratio(2 * a * a, d)
         return -x if s < 0 else x
 
+    rounded.f, rounded.p = f, p
     return rounded
-
-
-def _sqrt2_ratio(s: int, d: int) -> float:
-    """sqrt(2) s / d correctly rounded to a double (``_sqrt2_rounding``)."""
-    return _sqrt2_rounding(d)(s)
 
 
 def _checked(values, n_max: int) -> np.ndarray:
