@@ -21,12 +21,13 @@ variable, else the CPUs the process may run on.  CUTJUMP_THREADS is
 validated on every sweep, and the CSV is the same bytes either way.
 Per-cell failures land in the output rows and only an all-cell failure makes
 the exit code nonzero.  Before it starts a pool, ``sweep`` imports
-``numpy.random`` when any cell is noisy, so that workers forked from it (the
-fork start method, the Linux default through Python 3.13) inherit the module
-instead of each importing it on its first cell; that import is the only
-set-up warmed before the fork.  Under spawn or forkserver the results are
-the same, only not warmed.  The pool module itself is imported only by a
-sweep that starts a pool.
+``numpy.random`` when any cell is noisy and builds the read-only tables its
+cells share (``_warm_tables``), so that workers forked from it (the fork
+start method, the Linux default through Python 3.13) inherit them instead
+of each building them on its first cell.  Under spawn or forkserver the
+results are the same, only not warmed.  The pool takes the cells in chunks
+of several per task (``_chunk_size``).  The pool module itself is imported
+only by a sweep that starts a pool.
 """
 
 from __future__ import annotations
@@ -60,9 +61,9 @@ MAX_N_COEFFS = 1000
 MAX_N_MAX = 800
 # Ceiling on a sweep's runs, len(n-list) * len(epsilons) * repeats, checked
 # before any cell is built.  In-process, over three passes on a 2-vCPU VM, a
-# default noisy cell (N = 60, n_max = 200) took a median 0.6-1.5 ms
-# (epsilon 1e-3 to 1e-7; 1.7-3.0 ms noise-free) and the cheapest (N = 1,
-# n_max = 0) 0.2-0.4 ms.
+# default noisy cell (N = 60, n_max = 200) took a median 0.35-0.87 ms
+# (epsilon 1e-3 to 1e-7; 1.3-1.4 ms noise-free) and the cheapest (N = 1,
+# n_max = 0) 0.08-0.12 ms.
 MAX_SWEEP_CELLS = 10_000
 
 
@@ -205,6 +206,8 @@ class SweepConfig:
             _check_finite("epsilons", e)
             if e < 0.0:
                 raise ConfigError("epsilons: must be >= 0")
+            if not corpus._noise_width_finite(e):
+                raise ConfigError(f"epsilons: must be at most half the largest double, got {e!r}")
         if not self.ns:
             raise ConfigError("n-list: at least one value required")
         if any(not 1 <= n <= MAX_N_COEFFS for n in self.ns):
@@ -408,23 +411,20 @@ def _cell_seconds(n: int, n_max: int, epsilon: float) -> float:
 # Estimated serial work (s) below which a sweep runs in the calling process.
 # A pool pays for starting and stopping its workers (11-14 ms for two,
 # forked from a process that has imported cutjump.cli) and for each forked
-# worker's first cell, about twice a steady one.  Serial against a 2-worker
-# pool, 20 alternating pairs per size in one sitting on a 2-vCPU VM, cells
-# of N = 60 and up at n_max = 200, one per epsilon in 1e-3 ... 1e-7 or five
-# noise-free.  Pairs the pool won, by estimated serial work, over two runs:
-# noisy 30 ms 2-3 of 20, 40 ms 9-15, 50 ms 10-18, 61 ms 13-19; noise-free
-# 27 ms 1-2, 40 ms 10-11, 54 ms 16-18, 67 ms 14-18.  The break-even lies at
-# about 40-50 ms for both.  Before noisy cells stopped early, the estimate
-# took them at full depth, and the same method found the break-even for
-# noisy cells at about 90-100 ms of that estimate (45-50 ms before the
-# change), so the estimate was refitted rather than the threshold moved.
-# Once synthesis ran column by column, the same method (N = 60 cells, 30
-# pairs per size, both commits in one sitting) put the noise-free break-even
-# at about 60 ms of the estimate, against 55 ms before the change, and the
-# noisy one near 110 ms (13 of 30 pool wins), against 80 ms (18 of 30 at 89
-# ms) before: the old commit read above 45 ms in that sitting too, and the
-# noisy cells, at about 0.5 ms each, are bounded by the pool's cost per cell,
-# which an estimate of serial work does not model.  So neither number moved.
+# worker's first cell, several times a steady one.  Method: serial against
+# a 2-worker pool, 20 alternating pairs per size in one process that has
+# imported cutjump.cli and run a sweep of each kind, on a 2-vCPU VM; N = 60
+# cells at n_max = 200, one per epsilon in 1e-3 ... 1e-7, or noise-free.
+# Pairs the pool won, by estimated serial work, over two runs: noisy 45 ms
+# 0-3 of 20, 60 ms 10-12, 89 ms 10-19, 109 ms 19-20; noise-free 40 ms 1-5,
+# 53 ms 11-12, 66 ms 17-18.  The break-even lies at about 55-60 ms for both
+# kinds, a little above the threshold, so the threshold stays.  The
+# estimate runs above measured serial time, 1.6-1.9 times here (60 ms
+# estimated, 34-38 ms measured), in line with the median ratio of 1.77-1.88
+# that a refit over the fit's grid found; so 45 ms stands for about 25 ms
+# of serial work.  In a fresh interpreter per run, as a CLI call is, the
+# pool also imports its modules, and it lost nearly every pair at every
+# size above.
 SWEEP_POOL_MIN_S = 0.045
 
 
@@ -450,6 +450,25 @@ def _worker_count(cells: list[tuple[int, RunConfig]]) -> int:
     return min(cap, len(cells))
 
 
+def _warm_tables(sweep: SweepConfig) -> None:
+    """Build the read-only tables that the sweep's cells share: each N's
+    noise-free coefficients and synthesis tables, and the truth on the
+    error grid."""
+    spec = corpus.builtin(sweep.base.problem)
+    for n in set(sweep.ns):
+        corpus._builtin_clean(spec.id, n)
+        reconstruct._factorial_ratios(n + 1)
+        reconstruct._bound_factors(n + 1, sweep.base.n_max)
+    reconstruct._truth_parts(reconstruct.default_grid(), spec.jump, reconstruct.ERROR_DOMAIN)
+
+
+def _chunk_size(n_cells: int, workers: int) -> int:
+    """Cells per pool task: about four tasks per worker, as
+    ``multiprocessing.Pool.map`` picks by default, so a task's round trip is
+    shared by several cells while the workers still finish together."""
+    return -(-n_cells // (4 * workers))
+
+
 def cmd_sweep(sweep: SweepConfig) -> int:
     sweep.validate()
     base = sweep.base
@@ -462,13 +481,14 @@ def cmd_sweep(sweep: SweepConfig) -> int:
     else:
         from concurrent.futures import ProcessPoolExecutor
 
-        # An import that every noisy worker would otherwise pay for on its
-        # first cell, done once here for forked workers to inherit (module
-        # docstring).
+        # Set-up that every worker would otherwise pay for on its first
+        # cell, done once here for forked workers to inherit (module
+        # docstring): add_noise's generator, and the per-process tables.
         if any(c.epsilon > 0.0 for _, c in cells):
             import numpy.random  # noqa: F401  (add_noise's generator)
+        _warm_tables(sweep)
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_sweep_cell, cells))
+            rows = list(pool.map(_sweep_cell, cells, chunksize=_chunk_size(len(cells), workers)))
     lines = [",".join(SWEEP_COLUMNS)]
     for row in rows:
         lines.append(",".join(_fmt(row[col]) for col in SWEEP_COLUMNS))

@@ -7,10 +7,17 @@ coefficients, their exact rationals, continuity and the norm of the jump
 are all derived from the interpolant.  The test suite re-derives
 the jumps and norms by quadrature so a transcription slip cannot survive
 unnoticed.
+
+Shared state: the noise-free table of a built-in problem at N is built once
+per process and kept read-only in a bounded cache (``_builtin_clean``), so a
+sweep that draws many noise seeds at one N evaluates the interpolant once.
+``add_noise`` adds each draw to that table into a fresh array, and a
+noise-free ``CoefficientSet`` holds the read-only table itself.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -193,13 +200,39 @@ class CoefficientSet:
         return self.start_index + len(self.values) - 1
 
 
+def _clean_values(spec: ProblemSpec, N: int) -> np.ndarray:
+    """g_{start}..g_N of ``spec`` without noise."""
+    return np.array([spec.coefficient_rule(k) for k in range(spec.start_index, N + 1)])
+
+
+# Noise-free tables of the built-in problems, by (problem id, N): at most
+# 1001 doubles each, 8 KB.
+CLEAN_CACHE_SIZE = 64
+
+
+@functools.lru_cache(maxsize=CLEAN_CACHE_SIZE)
+def _builtin_clean(problem_id: str, N: int) -> np.ndarray:
+    """The built-in problem's noise-free table at N, read-only, built once."""
+    values = _clean_values(_BUILTINS[problem_id], N)
+    values.setflags(write=False)
+    return values
+
+
 def coefficients(
     spec: ProblemSpec, N: int, epsilon: float = 0.0, seed: int | None = None
 ) -> CoefficientSet:
-    """Generate g_{start}..g_N from a problem spec, optionally with noise."""
+    """Generate g_{start}..g_N from a problem spec, optionally with noise.
+
+    A built-in problem's noise-free table comes from ``_builtin_clean``, so
+    a noise-free set of one holds a read-only array; any other spec's table
+    is built afresh.
+    """
     if N < spec.start_index:
         raise InputError(f"N must be >= {spec.start_index} for {spec.id}")
-    clean = np.array([spec.coefficient_rule(k) for k in range(spec.start_index, N + 1)])
+    if _BUILTINS.get(spec.id) is spec:
+        clean = _builtin_clean(spec.id, N)
+    else:
+        clean = _clean_values(spec, N)
     cs = CoefficientSet(
         values=clean,
         epsilon=0.0,
@@ -210,6 +243,13 @@ def coefficients(
     if epsilon > 0.0:
         cs = add_noise(cs, epsilon, seed if seed is not None else 0)
     return cs
+
+
+def _noise_width_finite(epsilon: float) -> bool:
+    """Whether the noise draw's range [-epsilon, epsilon] has a finite width
+    2 epsilon, which ``add_noise`` needs; ``cli.SweepConfig`` checks its
+    epsilons with it before any cell runs."""
+    return math.isfinite(2.0 * epsilon)
 
 
 def add_noise(clean: CoefficientSet, epsilon: float, seed: int) -> CoefficientSet:
@@ -223,7 +263,7 @@ def add_noise(clean: CoefficientSet, epsilon: float, seed: int) -> CoefficientSe
     """
     if epsilon < 0.0:
         raise InputError("epsilon must be >= 0")
-    if not math.isfinite(2.0 * epsilon):  # the width of the draw's range
+    if not _noise_width_finite(epsilon):
         raise InputError(f"epsilon must be at most half the largest double, got {epsilon!r}")
     if epsilon == 0.0:
         return clean

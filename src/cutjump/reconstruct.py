@@ -37,17 +37,25 @@ sum.  That (-1)^n is folded into the stored c_n, so every reported
 coefficient and sample is a plain float and the reconstruction is simply
 sum_n c_n phi_n(x), with phi_n the rows of ``phi_matrix``.
 
-Shared state: besides the read-only grids ``default_grid`` and
-``thermal.default_v_grid``, each built once, one process-wide cache
-(``_basis``), the package's only growing one, holds
-read-only basis matrices, keyed by the builder and the shape and bytes
-of the abscissa array.  Every report resums on the same fixed grid, and the
+Shared state: what depends only on the problem, the grid or the shape
+(N, n_max) is built once per process and kept read-only, each value a
+function of its key alone, so every result is bit-identical to an uncached
+run whatever ran before it.  A sweep cell then pays only for its own noise
+draw: the draw, synthesis, the plateau search and the error of its J_rec.
+The grids ``default_grid`` and ``thermal.default_v_grid`` are built once.
+Bounded caches hold the synthesis set-up's (K-1)!/k! by K and
+C(n_max + k, k) 2^k by (K, n_max) (``_factorial_ratios``,
+``_bound_factors``), an error's side of the truth on a grid, by truth, grid
+shape and bytes, domain and weight (``_cached_truth_on_grid``, for
+``JumpGroundTruth`` truths only), and, in ``corpus``, the built-in
+problems' noise-free tables.  The largest, ``_basis``, holds basis matrices,
+keyed by the builder and the shape and bytes of the abscissa array, within
+a byte budget.  Every report resums on the same fixed grid, and the
 integral checks' quadrature nodes fall on one dyadic lattice in t = 1/x, so
 most requests repeat an earlier array.  A request for fewer rows reads a row
 prefix of the stored matrix: each row of the Laguerre recurrence depends
 only on the rows before it, so the prefix holds the values a fresh build
-would, and every result is bit-identical to an uncached run whatever ran
-before it.  The public ``phi_matrix`` and ``thermal.psi_matrix`` stay
+would.  The public ``phi_matrix`` and ``thermal.psi_matrix`` stay
 uncached.
 """
 
@@ -55,6 +63,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -109,23 +118,33 @@ class SynthesisResult:
     c: np.ndarray
 
 
+# The synthesis set-up's integer tables, by K = len(values) (and n_max for
+# the bound's): K big integers each, under 1 MB at the CLI's ceilings.
+SETUP_CACHE_SIZE = 8
+
+
+@functools.lru_cache(maxsize=SETUP_CACHE_SIZE)
+def _factorial_ratios(K: int) -> tuple[int, ...]:
+    """(K-1)!/k! for k = 0..K-1, built from k = K-1 down; the first is (K-1)!."""
+    ratios = [1] * K
+    for k in range(K - 1, 0, -1):
+        ratios[k - 1] = ratios[k] * k
+    return tuple(ratios)
+
+
 def _weights(values: np.ndarray) -> tuple[list[int], int]:
     """Integer weights w_0..w_{K-1} and D with (-1)^k v_k / k! = w_k / D.
 
-    Every double is a dyadic rational, so with 2^s the largest denominator
-    among the v_k and K = len(values), D = (K-1)! 2^s clears every
-    denominator, and w_k = (-1)^k ((K-1)!/k!) (v_k 2^s).
+    Every double is a dyadic rational n_k / 2^{s_k}, so with 2^s the largest
+    denominator among the v_k and K = len(values), D = (K-1)! 2^s clears
+    every denominator, and w_k = (-1)^k ((K-1)!/k!) n_k 2^{s - s_k}.
     """
-    ratios = [float(v).as_integer_ratio() for v in values]
-    shift = max(den.bit_length() - 1 for _, den in ratios)
-    weights = [0] * len(ratios)
-    fact = 1  # (K-1)! / k!, built from k = K-1 down
-    for k in reversed(range(len(ratios))):
-        num, den = ratios[k]
-        w = fact * num * ((1 << shift) // den)
-        weights[k] = -w if k % 2 else w
-        fact *= max(k, 1)
-    return weights, fact << shift
+    ratios = list(map(float.as_integer_ratio, values.tolist()))
+    shift = max(den for _, den in ratios).bit_length() - 1
+    facts = _factorial_ratios(len(ratios))
+    weights = [(f * num) << (shift + 1 - den.bit_length()) for f, (num, den) in zip(facts, ratios)]
+    weights[1::2] = [-w for w in weights[1::2]]
+    return weights, facts[0] << shift
 
 
 def _sum_columns(weights: list[int]) -> Iterator[int]:
@@ -170,6 +189,16 @@ def _exact_sums(values: np.ndarray, n_max: int) -> tuple[list[int], int]:
     return list(islice(_sum_columns(weights), n_max + 1)), d
 
 
+@functools.lru_cache(maxsize=SETUP_CACHE_SIZE)
+def _bound_factors(K: int, n_max: int) -> tuple[int, ...]:
+    """C(n_max + k, k) 2^k for k = 0..K-1."""
+    factors, binom = [], 1  # binom = C(n_max + k, k)
+    for k in range(K):
+        factors.append(binom << k)
+        binom = binom * (n_max + k + 1) // (k + 1)
+    return tuple(factors)
+
+
 def _sum_bound(weights: list[int], n_max: int) -> int:
     """sum_k |w_k| 2^k C(n_max + k, k), a bound on every |S_n|, n <= n_max.
 
@@ -178,11 +207,7 @@ def _sum_bound(weights: list[int], n_max: int) -> int:
     coefficient, sum_j C(k, j) C(n - j + k, k), is at most 2^k C(n + k, k),
     which does not decrease with n.
     """
-    bound, binom = 0, 1  # binom = C(n_max + k, k)
-    for k, w in enumerate(weights):
-        bound += abs(w) * binom << k
-        binom = binom * (n_max + k + 1) // (k + 1)
-    return bound
+    return sum(map(operator.mul, map(abs, weights), _bound_factors(len(weights), n_max)))
 
 
 def _sqrt_ratio(m: int, d: int) -> float:
@@ -363,9 +388,10 @@ def _band(M: np.ndarray, m_t: int) -> tuple[int, int]:
     return a, min(max(b, m_t), len(M) - 1)
 
 
-def _growth(M: np.ndarray) -> np.ndarray:
-    """Relative energy growth (M_{m+1} - M_m) / max(M_m, GROWTH_FLOOR) of each step."""
-    return np.diff(M) / np.maximum(M[:-1], GROWTH_FLOOR)
+def _growth(M: np.ndarray, dM: np.ndarray | None = None) -> np.ndarray:
+    """Relative energy growth (M_{m+1} - M_m) / max(M_m, GROWTH_FLOOR) of each
+    step; ``dM``, if given, is ``np.diff(M)``."""
+    return (np.diff(M) if dM is None else dM) / np.maximum(M[:-1], GROWTH_FLOOR)
 
 
 def _divergence_guard(growth: np.ndarray) -> int:
@@ -415,17 +441,18 @@ def detect_plateau(M: Sequence[float], policy: PlateauPolicy | None = None) -> P
         raise InputError("partial energies must be a non-empty 1-D array")
     if M.size == 1:
         return PlateauResult((0, 0), 0, False, None, 0.0)
-    if np.any(np.diff(M) < 0.0):
+    dM = np.diff(M)
+    if np.any(dM < 0.0):
         raise InputError("partial energies must be nondecreasing")
 
-    growth = _growth(M)
+    growth = _growth(M, dM)
     guard = _divergence_guard(growth)
     qualifying = [
         r
         for r in _flat_runs(growth, policy.theta)
         if r[1] - r[0] >= policy.w_min and r[0] < guard
     ]
-    c_sq = np.diff(M, prepend=0.0)
+    c_sq = np.concatenate((M[:1], dM))  # the c_n^2: np.diff(M, prepend=0.0)
 
     if qualifying:
         a0, b0 = max(qualifying, key=lambda r: (r[1] - r[0], r[0]))
@@ -603,6 +630,47 @@ class ErrorReport:
         }
 
 
+def _truth_on_grid(xs: np.ndarray, truth: Callable, domain: tuple[float, float], weight: Callable | None):
+    """What an L^2 error on ``xs`` needs of everything but the
+    reconstruction: the mask of the samples in ``domain``, their abscissae,
+    the weights there (1.0 without ``weight``), the truth's samples and its
+    squared norm.  InputError if fewer than 8 samples fall in ``domain``."""
+    lo, hi = domain
+    mask = (xs >= lo) & (xs <= hi)
+    if mask.sum() < 8:
+        raise InputError(f"sample grid too sparse on [{lo:g}, {hi:g}]")
+    x = xs[mask]
+    w = 1.0 if weight is None else weight(x)
+    jt = np.asarray(truth(x), dtype=float)
+    return mask, x, w, jt, float(np.trapezoid(w * jt**2, x))
+
+
+# Entries of ``_truth_on_grid`` by (truth, shape and bytes of the abscissae,
+# domain, weight): a few arrays of at most the grid's length each.
+TRUTH_CACHE_SIZE = 16
+
+
+@functools.lru_cache(maxsize=TRUTH_CACHE_SIZE)
+def _cached_truth_on_grid(truth: JumpGroundTruth, shape: tuple, raw: bytes, domain: tuple, weight: Callable | None):
+    """``_truth_on_grid`` on the abscissae with these shape and bytes, its
+    arrays read-only.  A call that raises stores nothing, so every call on
+    a too sparse grid raises."""
+    parts = _truth_on_grid(np.frombuffer(raw).reshape(shape), truth, domain, weight)
+    for a in parts:
+        if isinstance(a, np.ndarray):
+            a.flags.writeable = False
+    return parts
+
+
+def _truth_parts(xs, truth: Callable, domain: tuple[float, float], weight: Callable | None = None):
+    """``_truth_on_grid`` of ``xs``: from the cache for a ``JumpGroundTruth``,
+    a pure closed form, and computed afresh for any other truth."""
+    xs = np.asarray(xs, dtype=float)
+    if type(truth) is JumpGroundTruth:
+        return _cached_truth_on_grid(truth, xs.shape, xs.tobytes(), tuple(domain), weight)
+    return _truth_on_grid(xs, truth, domain, weight)
+
+
 def _trapezoid_l2(
     xs: np.ndarray,
     j_rec: np.ndarray,
@@ -611,21 +679,18 @@ def _trapezoid_l2(
     weight: Callable | None = None,
 ) -> ErrorReport:
     """Composite-trapezoid L^2 error, optionally weighted, over the samples in
-    ``domain``."""
-    xs = np.asarray(xs, dtype=float)
+    ``domain``.
+
+    Everything but err^2 comes from ``_truth_parts``, which reads a
+    ``JumpGroundTruth``'s side of the error from a bounded process-wide
+    cache; the values are the same either way.
+    """
     j_rec = np.asarray(j_rec, dtype=float)
-    lo, hi = domain
-    mask = (xs >= lo) & (xs <= hi)
-    if mask.sum() < 8:
-        raise InputError(f"sample grid too sparse on [{lo:g}, {hi:g}]")
-    x = xs[mask]
-    w = 1.0 if weight is None else weight(x)
-    jt = np.asarray(truth(x), dtype=float)
+    mask, x, w, jt, norm_sq = _truth_parts(xs, truth, domain, weight)
     err_sq = float(np.trapezoid(w * (j_rec[mask] - jt) ** 2, x))
-    norm_sq = float(np.trapezoid(w * jt**2, x))
     l2_abs = math.sqrt(max(err_sq, 0.0))
     l2_rel = math.sqrt(err_sq / norm_sq) if norm_sq > 0.0 else None
-    return ErrorReport(l2_abs=l2_abs, l2_rel=l2_rel, domain=(lo, hi))
+    return ErrorReport(l2_abs=l2_abs, l2_rel=l2_rel, domain=(domain[0], domain[1]))
 
 
 def l2_error(xs: np.ndarray, j_rec: np.ndarray, truth: Callable) -> ErrorReport:

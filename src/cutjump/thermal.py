@@ -137,9 +137,15 @@ def reconstruct_thermal(frak_c: np.ndarray, m_t: int, vs) -> np.ndarray:
     return _head(frak_c, m_t) @ _basis(_thermal_rows, m_t, vs)
 
 
+def _error_weight(v: np.ndarray) -> np.ndarray:
+    """The weight e^{-v} of the thermal L^2 error: one function, so the
+    truth-on-grid cache of ``_trapezoid_l2`` sees one key."""
+    return np.exp(-v)
+
+
 def weighted_l2_error(vs: np.ndarray, j_rec: np.ndarray, truth) -> ErrorReport:
     """L^2 error with weight e^{-v} over [0, V_MAX] by composite trapezoid."""
-    return _trapezoid_l2(vs, j_rec, truth, (0.0, V_MAX), weight=lambda v: np.exp(-v))
+    return _trapezoid_l2(vs, j_rec, truth, (0.0, V_MAX), weight=_error_weight)
 
 
 def synthesize_line_coefficients(problem: ThermalProblem, n_max: int = DEFAULT_N_MAX) -> SynthesisResult:

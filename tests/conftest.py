@@ -8,6 +8,28 @@ sys.path.insert(0, str(Path(__file__).parent))
 from cutjump import corpus, reconstruct, thermal
 
 
+# The process-wide caches of read-only tables, other than ``_basis`` (see
+# ``fresh_basis`` in test_reconstruct.py) and the grids.
+TABLE_CACHES = (
+    corpus._builtin_clean,
+    reconstruct._factorial_ratios,
+    reconstruct._bound_factors,
+    reconstruct._cached_truth_on_grid,
+)
+
+
+@pytest.fixture
+def fresh_tables():
+    """Every table cache empty at the start of the test and again after it;
+    the tables hold only values a fresh build gives, so clearing them changes
+    no result."""
+    for cache in TABLE_CACHES:
+        cache.cache_clear()
+    yield TABLE_CACHES
+    for cache in TABLE_CACHES:
+        cache.cache_clear()
+
+
 @pytest.fixture(scope="session")
 def normalized60_report():
     """Reference run: normalized_rational, N = 60, noiseless, n_max = 200."""

@@ -39,6 +39,7 @@ def run_cli(args):
         (["moments", "--problem", "harmonic", "--p-exponent", "nan"], "p-exponent: must be finite"),
         (["sweep", "--problem", "harmonic", "--epsilons", "nan"], "epsilons: must be finite"),
         (["sweep", "--problem", "harmonic", "--epsilons", "1e-4,inf"], "epsilons: must be finite"),
+        (["sweep", "--problem", "harmonic", "--epsilons", "1e308"], "epsilons: must be at most half"),
         (
             ["reconstruct", "--problem", "harmonic", "--plateau-theta", "0.6"],
             "plateau-theta: must be > 0 and < 0.5",
@@ -725,6 +726,57 @@ def _sweep_cells(ns, n_max, epsilons, repeats=1) -> list:
 
 
 DEFAULT_EPSILONS = [1e-3, 1e-4, 1e-5, 1e-6, 1e-7]
+
+
+def test_sweep_epsilon_beyond_half_the_doubles_fails_before_any_cell(tmp_path, capsys):
+    # uniform(-eps, eps) needs a finite 2 eps; one such epsilon among good
+    # ones is a config error naming the field, not a failed row.
+    argv = ["sweep", "--problem", "harmonic", "--n-list", "5", "--epsilons", "1e-3,1e308",
+            "--repeats", "1", "--out", str(tmp_path)]  # fmt: skip
+    assert run_cli(argv) == cli.EXIT_ERROR
+    assert "error: epsilons: must be at most half the largest double, got 1e+308" in capsys.readouterr().err
+    assert not (tmp_path / "harmonic_sweep.csv").exists()
+
+
+TABLE_SWEEP = ["sweep", "--problem", "normalized_rational", "--n-list", "20,60",
+               "--epsilons", "0,1e-3,1e-6", "--repeats", "2", "--n-max", "80"]  # fmt: skip
+
+
+def test_sweep_rows_are_the_same_bytes_with_cold_and_warm_tables(tmp_path, monkeypatch, fresh_tables):
+    # Serial and through the pool, with the tables built by the cells
+    # themselves (cold; pool workers forked with none) or already there.
+    monkeypatch.setattr(cli, "SWEEP_POOL_MIN_S", 0.0)
+    csv = {}
+    for mode, threads in (("serial", "1"), ("pool", "2")):
+        monkeypatch.setenv("CUTJUMP_THREADS", threads)
+        for state in ("cold", "warm"):
+            with monkeypatch.context() as m:
+                if state == "cold":
+                    for cache in fresh_tables:
+                        cache.cache_clear()
+                    m.setattr(cli, "_warm_tables", lambda sweep: None)
+                out = tmp_path / f"{mode}_{state}"
+                assert run_cli(TABLE_SWEEP + ["--out", str(out)]) == cli.EXIT_OK
+                csv[mode, state] = (out / "normalized_rational_sweep.csv").read_bytes()
+    assert len(set(csv.values())) == 1
+    assert len(csv["serial", "cold"].splitlines()) == 13
+
+
+def test_warm_tables_hold_everything_the_cells_read(fresh_tables):
+    sweep = cli._sweep_from_args(cli.build_parser().parse_args(TABLE_SWEEP))
+    sweep.validate()
+    cli._warm_tables(sweep)
+    misses = [cache.cache_info().misses for cache in fresh_tables]
+    for cell in sweep.cells():
+        assert not cli._sweep_cell(cell)["error"]
+    assert [cache.cache_info().misses for cache in fresh_tables] == misses
+
+
+def test_pool_tasks_carry_several_cells():
+    assert cli._chunk_size(1, 2) == 1
+    assert cli._chunk_size(8, 2) == 1
+    assert cli._chunk_size(9, 2) == 2
+    assert cli._chunk_size(100, 2) == 13
 
 
 def test_default_worker_count_follows_the_affinity_mask(monkeypatch):

@@ -47,7 +47,7 @@ FLAG_VALUES = {
     "--p-exponent": (["2.5", "1.5"], ["1.0", "nan", "inf"]),
     "--f-mode": (["none", "k_plus_1", "k"], ["bad"]),
     "--expect-positive": ([None], []),
-    "--epsilons": (["1e-3", "1e-4,1e-6", "0"], ["nan", "x", "", "-1"]),
+    "--epsilons": (["1e-3", "1e-4,1e-6", "0"], ["nan", "x", "", "-1", "1e308"]),
     "--n-list": (["8", "5,10"], ["0", "1001", "x"]),
     "--repeats": (["1", "2"], ["0", "x"]),
     "--seed-base": (["0", "5", str(2**64 - 1 - 2 * 1000003)], ["-3", str(2**64 - 1)]),

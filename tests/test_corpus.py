@@ -1,11 +1,13 @@
+import dataclasses
 import hashlib
 import math
+import sys
 
 import numpy as np
 import pytest
 
 from cutjump import cli, corpus
-from cutjump.errors import InputError, ParseError
+from cutjump.errors import ConfigError, InputError, ParseError
 from cutjump.specfun import integrate_adaptive
 
 
@@ -200,6 +202,42 @@ def test_add_noise_rejects_a_range_beyond_the_doubles():
     with pytest.raises(InputError, match="epsilon"):
         corpus.add_noise(cs, 1e308, 0)
     assert np.all(np.isfinite(corpus.add_noise(cs, 8e307, 0).values))
+
+
+def test_noise_width_check_is_shared_with_sweep_validation():
+    # add_noise and a sweep's epsilons reject exactly the same values: the
+    # largest accepted epsilon is half the largest double.
+    top = sys.float_info.max / 2
+    cs = corpus.coefficients(corpus.builtin("harmonic"), 3)
+    sweep = cli.SweepConfig(base=cli.RunConfig(problem="harmonic"), ns=[3], repeats=1)
+    for eps, ok in ((top, True), (math.nextafter(top, math.inf), False)):
+        assert corpus._noise_width_finite(eps) is ok
+        sweep.epsilons = [eps]
+        if ok:
+            corpus.add_noise(cs, eps, 0)
+            sweep.validate()
+        else:
+            with pytest.raises(InputError, match="half the largest double"):
+                corpus.add_noise(cs, eps, 0)
+            with pytest.raises(ConfigError, match="epsilons: must be at most half the largest double"):
+                sweep.validate()
+
+
+def test_noise_free_tables_of_builtins_are_shared_and_others_fresh(fresh_tables):
+    spec = corpus.builtin("normalized_rational")
+    table = corpus.coefficients(spec, 12).values
+    assert table is corpus.coefficients(spec, 12).values and not table.flags.writeable
+    np.testing.assert_array_equal(table, [spec.coefficient_rule(k) for k in range(13)])
+    # noise goes into a fresh array and leaves the table alone
+    noisy = corpus.coefficients(spec, 12, 1e-3, 4)
+    assert noisy.values.flags.writeable and not np.shares_memory(noisy.values, table)
+    np.testing.assert_array_equal(table, [spec.coefficient_rule(k) for k in range(13)])
+    # a spec of the caller's own, even one equal to a built-in, is built afresh
+    own = dataclasses.replace(spec)
+    values = corpus.coefficients(own, 12).values
+    assert values.flags.writeable and values is not table
+    np.testing.assert_array_equal(values, table)
+    assert corpus._builtin_clean.cache_info().currsize == 1
 
 
 def test_noise_stream_order_is_ascending_k():

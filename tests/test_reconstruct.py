@@ -12,7 +12,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
@@ -35,6 +35,7 @@ from cutjump.reconstruct import (
 from cutjump.specfun import integrate_adaptive, laguerre_scaled_seq
 from plateau_loops import energy_decay_exponent_loop, flat_runs_loop
 from rotated import rotated_closed_form, rotated_int_seq
+from synthesis_loops import sum_bound_loop, weights_loop
 
 
 # ---------------------------------------------------------------- synthesis
@@ -238,6 +239,40 @@ def test_sum_bound_bounds_every_sum():
         values = rng.choice([-1.0, 1.0], k) * 10.0 ** rng.uniform(-8.0, 3.0, k)
         sums, _ = reconstruct._exact_sums(values, n_max)
         assert max(map(abs, sums)) <= reconstruct._sum_bound(reconstruct._weights(values)[0], n_max)
+
+
+def _setup_values(K, seed):
+    """K doubles mixing zeros, the smallest subnormals, values near the top
+    of the double range and values of any exponent in between."""
+    rng = np.random.default_rng(seed)
+    pools = [
+        np.array([0.0, -0.0]),
+        np.array([5e-324, -5e-324, 1e-323]),
+        rng.choice([-1.0, 1.0], 8) * np.array([1e308, 1.7976931348623157e308, 8e307, 1.5e308] * 2),
+        rng.choice([-1.0, 1.0], 64) * 10.0 ** rng.uniform(-323.0, 307.0, 64),
+        rng.choice([-1.0, 1.0], 64) * rng.uniform(0.0, 10.0, 64),
+    ]
+    kinds = rng.integers(0, len(pools), K)
+    return np.array([pools[k][rng.integers(0, pools[k].size)] for k in kinds])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([1, 2, 61, 1001]), st.integers(0, 800), st.integers(0, 2**32 - 1))
+@example(1001, 800, 0)
+@example(1, 0, 1)
+def test_setup_tables_give_the_loops_integers(K, n_max, seed):
+    # The sums gate pins w and D, and the bound decides where a sweep cell
+    # stops, so the table-driven set-up must give the loops' integers, on
+    # the first call (tables built) and on the next (tables read).
+    reconstruct._factorial_ratios.cache_clear()
+    reconstruct._bound_factors.cache_clear()
+    values = _setup_values(K, seed)
+    want_w, want_d = weights_loop(values)
+    want_bound = sum_bound_loop(want_w, n_max)
+    for _ in range(2):
+        weights, d = reconstruct._weights(values)
+        assert (weights, d) == (want_w, want_d)
+        assert reconstruct._sum_bound(weights, n_max) == want_bound
 
 
 def test_stopping_synthesis_ends_at_the_guard_plus_the_window():
@@ -735,6 +770,78 @@ def test_basis_cache_is_thread_safe(fresh_basis, monkeypatch):
     assert not any(t.is_alive() for t in threads)
     assert errors == []
     assert 0 < sum(a.nbytes for a in fresh_basis.values()) <= budget
+
+
+# ------------------------------------------------------------- table caches
+
+
+def test_cached_tables_are_read_only(fresh_tables):
+    spec = corpus.builtin("normalized_rational")
+    clean = corpus.coefficients(spec, 20).values
+    assert clean is corpus.coefficients(spec, 20).values
+    assert corpus.coefficients(spec, 20, 1e-3, 1).values.flags.writeable  # each draw is fresh
+    xs = default_grid()
+    parts = reconstruct._truth_parts(xs, spec.jump, reconstruct.ERROR_DOMAIN)
+    assert parts is reconstruct._truth_parts(xs, spec.jump, reconstruct.ERROR_DOMAIN)
+    arrays = [clean, *(a for a in parts if isinstance(a, np.ndarray))]
+    assert len(arrays) == 4  # the table, the mask, the abscissae, the truth
+    for a in arrays:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 0
+    # the synthesis tables are tuples of ints
+    assert isinstance(reconstruct._factorial_ratios(21), tuple)
+    assert isinstance(reconstruct._bound_factors(21, 200), tuple)
+
+
+def test_table_caches_keep_within_their_bounds(fresh_tables):
+    spec = corpus.builtin("harmonic")
+    bounds = (corpus.CLEAN_CACHE_SIZE, reconstruct.SETUP_CACHE_SIZE, reconstruct.SETUP_CACHE_SIZE,
+              reconstruct.TRUTH_CACHE_SIZE)  # fmt: skip
+    for n in range(corpus.CLEAN_CACHE_SIZE + 3):
+        corpus.coefficients(spec, n)
+    for k in range(1, reconstruct.SETUP_CACHE_SIZE + 4):
+        reconstruct._sum_bound(reconstruct._weights(np.full(k, 0.5))[0], 7)
+    for i in range(reconstruct.TRUTH_CACHE_SIZE + 3):
+        xs = np.linspace(1.0, 2.0 + i, 16)
+        l2_error(xs, np.zeros_like(xs), spec.jump)
+    for cache, bound in zip(fresh_tables, bounds):
+        info = cache.cache_info()
+        assert info.maxsize == bound and info.currsize == bound, cache
+
+
+def test_sparse_grid_raises_on_every_call_and_is_not_stored(fresh_tables):
+    spec = corpus.builtin("harmonic")
+    xs = np.linspace(1.0, 50.0, 7)
+    for _ in range(2):
+        with pytest.raises(InputError, match="too sparse"):
+            l2_error(xs, xs, spec.jump)
+    assert reconstruct._cached_truth_on_grid.cache_info().currsize == 0
+
+
+def test_plain_truth_gets_the_closed_form_errors_uncached(fresh_tables):
+    # A truth that is not a JumpGroundTruth is sampled afresh on every call
+    # and gives the errors of the closed form it wraps, bit for bit.
+    spec = corpus.builtin("normalized_rational")
+    xs = default_grid()
+    j_rec = 0.9 * spec.jump(xs) + 1e-3 * np.sin(xs)
+    closed = l2_error(xs, j_rec, spec.jump)
+    for _ in range(2):
+        assert l2_error(xs, j_rec, lambda x: spec.jump(x)) == closed
+    assert reconstruct._cached_truth_on_grid.cache_info().currsize == 1
+    mask = (xs >= 1.0) & (xs <= 50.0)
+    jt = spec.jump(xs[mask])
+    err_sq = float(np.trapezoid((j_rec[mask] - jt) ** 2, xs[mask]))
+    assert closed.l2_abs == math.sqrt(err_sq)
+    assert closed.l2_rel == math.sqrt(err_sq / float(np.trapezoid(jt**2, xs[mask])))
+    thermal_spec = corpus.builtin("thermal_boson_demo")
+    vs = thermal.default_v_grid()
+    v_rec = 0.9 * thermal_spec.jump(vs)
+    weighted = thermal.weighted_l2_error(vs, v_rec, thermal_spec.jump)
+    assert thermal.weighted_l2_error(vs, v_rec, lambda v: thermal_spec.jump(v)) == weighted
+    assert thermal.weighted_l2_error(vs, v_rec, thermal_spec.jump) == weighted
+    info = reconstruct._cached_truth_on_grid.cache_info()
+    assert (info.currsize, info.hits) == (2, 1)  # the weight's key repeats
 
 
 # ------------------------------------------------------------------- errors
