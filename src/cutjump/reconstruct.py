@@ -388,10 +388,10 @@ def _band(M: np.ndarray, m_t: int) -> tuple[int, int]:
     return a, min(max(b, m_t), len(M) - 1)
 
 
-def _growth(M: np.ndarray, dM: np.ndarray | None = None) -> np.ndarray:
+def _growth(M: np.ndarray, dM: np.ndarray) -> np.ndarray:
     """Relative energy growth (M_{m+1} - M_m) / max(M_m, GROWTH_FLOOR) of each
-    step; ``dM``, if given, is ``np.diff(M)``."""
-    return (np.diff(M) if dM is None else dM) / np.maximum(M[:-1], GROWTH_FLOOR)
+    step, given ``dM = np.diff(M)``."""
+    return dM / np.maximum(M[:-1], GROWTH_FLOOR)
 
 
 def _divergence_guard(growth: np.ndarray) -> int:
@@ -690,7 +690,7 @@ def _trapezoid_l2(
     err_sq = float(np.trapezoid(w * (j_rec[mask] - jt) ** 2, x))
     l2_abs = math.sqrt(max(err_sq, 0.0))
     l2_rel = math.sqrt(err_sq / norm_sq) if norm_sq > 0.0 else None
-    return ErrorReport(l2_abs=l2_abs, l2_rel=l2_rel, domain=(domain[0], domain[1]))
+    return ErrorReport(l2_abs=l2_abs, l2_rel=l2_rel, domain=tuple(domain))
 
 
 def l2_error(xs: np.ndarray, j_rec: np.ndarray, truth: Callable) -> ErrorReport:

@@ -290,7 +290,8 @@ def test_stopping_synthesis_ends_at_the_guard_plus_the_window():
         n_max, w_min = int(rng.choice([0, 1, 7, 30, 200, 800])), int(rng.integers(2, 31))
         values = corpus.coefficients(spec, n, epsilon=eps, seed=int(rng.integers(0, 2**32))).values
         full = reconstruct._synthesis(values, n_max)
-        g = reconstruct._divergence_guard(reconstruct._growth(partial_energies(full)))
+        M = partial_energies(full)
+        g = reconstruct._divergence_guard(reconstruct._growth(M, np.diff(M)))
         c = reconstruct._synthesis(values, n_max, w_min)
         assert c.size == min(n_max + 1, g + w_min + 1), (spec.id, n, eps, n_max, w_min)
         assert np.array_equal(c, full[: c.size])
