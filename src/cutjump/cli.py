@@ -22,7 +22,8 @@ validated on every sweep, and the CSV is the same bytes either way.
 Per-cell failures land in the output rows and only an all-cell failure makes
 the exit code nonzero.  Before it starts a pool, ``sweep`` imports
 ``numpy.random`` when any cell is noisy and builds the read-only tables its
-cells share (``_warm_tables``), so that workers forked from it (the fork
+cells share, each N's noise-free coefficients and the truth on the error
+grid (``_warm_tables``), so that workers forked from it (the fork
 start method, the Linux default through Python 3.13) inherit them instead
 of each building them on its first cell.  Under spawn or forkserver the
 results are the same, only not warmed.  The pool takes the cells in chunks
@@ -451,15 +452,15 @@ def _worker_count(cells: list[tuple[int, RunConfig]]) -> int:
 
 
 def _warm_tables(sweep: SweepConfig) -> None:
-    """Build the read-only tables that the sweep's cells share: each N's
-    noise-free coefficients and synthesis tables, and the truth on the
-    error grid."""
+    """Build the read-only tables that the sweep's cells share: the
+    noise-free coefficients of its first ``corpus.CLEAN_CACHE_SIZE``
+    distinct N, in n-list order (all the cache holds), and the truth on the
+    error grid, which the error of any reconstruction there stores."""
     spec = corpus.builtin(sweep.base.problem)
-    for n in set(sweep.ns):
-        corpus._builtin_clean(spec.id, n)
-        reconstruct._factorial_ratios(n + 1)
-        reconstruct._bound_factors(n + 1, sweep.base.n_max)
-    reconstruct._truth_parts(reconstruct.default_grid(), spec.jump, reconstruct.ERROR_DOMAIN)
+    for n in list(dict.fromkeys(sweep.ns))[: corpus.CLEAN_CACHE_SIZE]:
+        corpus._clean_table(spec, n)
+    xs = reconstruct.default_grid()
+    reconstruct.l2_error(xs, xs, spec.jump)
 
 
 def _chunk_size(n_cells: int, workers: int) -> int:

@@ -8,11 +8,12 @@ are all derived from the interpolant.  The test suite re-derives
 the jumps and norms by quadrature so a transcription slip cannot survive
 unnoticed.
 
-Shared state: the noise-free table of a built-in problem at N is built once
-per process and kept read-only in a bounded cache (``_builtin_clean``), so a
-sweep that draws many noise seeds at one N evaluates the interpolant once.
-``add_noise`` adds each draw to that table into a fresh array, and a
-noise-free ``CoefficientSet`` holds the read-only table itself.
+Shared state: the noise-free table of a problem at N is built once per
+process and kept read-only in a bounded cache (``_clean_table``), keyed by
+the frozen ``ProblemSpec`` and N, so a sweep that draws many noise seeds at
+one N evaluates the interpolant once.  ``add_noise`` adds each draw to that
+table into a fresh array, and a noise-free ``CoefficientSet`` holds the
+read-only table itself.
 """
 
 from __future__ import annotations
@@ -200,20 +201,14 @@ class CoefficientSet:
         return self.start_index + len(self.values) - 1
 
 
-def _clean_values(spec: ProblemSpec, N: int) -> np.ndarray:
-    """g_{start}..g_N of ``spec`` without noise."""
-    return np.array([spec.coefficient_rule(k) for k in range(spec.start_index, N + 1)])
-
-
-# Noise-free tables of the built-in problems, by (problem id, N): at most
-# 1001 doubles each, 8 KB.
+# Noise-free tables by (problem, N): at most 1001 doubles each, 8 KB.
 CLEAN_CACHE_SIZE = 64
 
 
 @functools.lru_cache(maxsize=CLEAN_CACHE_SIZE)
-def _builtin_clean(problem_id: str, N: int) -> np.ndarray:
-    """The built-in problem's noise-free table at N, read-only, built once."""
-    values = _clean_values(_BUILTINS[problem_id], N)
+def _clean_table(spec: ProblemSpec, N: int) -> np.ndarray:
+    """g_{start}..g_N of ``spec`` without noise, read-only, built once."""
+    values = np.array([spec.coefficient_rule(k) for k in range(spec.start_index, N + 1)])
     values.setflags(write=False)
     return values
 
@@ -223,18 +218,13 @@ def coefficients(
 ) -> CoefficientSet:
     """Generate g_{start}..g_N from a problem spec, optionally with noise.
 
-    A built-in problem's noise-free table comes from ``_builtin_clean``, so
-    a noise-free set of one holds a read-only array; any other spec's table
-    is built afresh.
+    The noise-free table comes from ``_clean_table``, so a noise-free set
+    holds a shared read-only array.
     """
     if N < spec.start_index:
         raise InputError(f"N must be >= {spec.start_index} for {spec.id}")
-    if _BUILTINS.get(spec.id) is spec:
-        clean = _builtin_clean(spec.id, N)
-    else:
-        clean = _clean_values(spec, N)
     cs = CoefficientSet(
-        values=clean,
+        values=_clean_table(spec, N),
         epsilon=0.0,
         source=spec.id,
         start_index=spec.start_index,

@@ -662,15 +662,6 @@ def _cached_truth_on_grid(truth: JumpGroundTruth, shape: tuple, raw: bytes, doma
     return parts
 
 
-def _truth_parts(xs, truth: Callable, domain: tuple[float, float], weight: Callable | None = None):
-    """``_truth_on_grid`` of ``xs``: from the cache for a ``JumpGroundTruth``,
-    a pure closed form, and computed afresh for any other truth."""
-    xs = np.asarray(xs, dtype=float)
-    if type(truth) is JumpGroundTruth:
-        return _cached_truth_on_grid(truth, xs.shape, xs.tobytes(), tuple(domain), weight)
-    return _truth_on_grid(xs, truth, domain, weight)
-
-
 def _trapezoid_l2(
     xs: np.ndarray,
     j_rec: np.ndarray,
@@ -681,12 +672,17 @@ def _trapezoid_l2(
     """Composite-trapezoid L^2 error, optionally weighted, over the samples in
     ``domain``.
 
-    Everything but err^2 comes from ``_truth_parts``, which reads a
-    ``JumpGroundTruth``'s side of the error from a bounded process-wide
-    cache; the values are the same either way.
+    Everything but err^2 comes from ``_truth_on_grid``, read from its
+    bounded cache for a ``JumpGroundTruth``, a pure closed form, and
+    computed afresh for any other truth; the values are the same either way.
     """
+    xs = np.asarray(xs, dtype=float)
     j_rec = np.asarray(j_rec, dtype=float)
-    mask, x, w, jt, norm_sq = _truth_parts(xs, truth, domain, weight)
+    if type(truth) is JumpGroundTruth:
+        parts = _cached_truth_on_grid(truth, xs.shape, xs.tobytes(), tuple(domain), weight)
+    else:
+        parts = _truth_on_grid(xs, truth, domain, weight)
+    mask, x, w, jt, norm_sq = parts
     err_sq = float(np.trapezoid(w * (j_rec[mask] - jt) ** 2, x))
     l2_abs = math.sqrt(max(err_sq, 0.0))
     l2_rel = math.sqrt(err_sq / norm_sq) if norm_sq > 0.0 else None

@@ -11,7 +11,7 @@ from cutjump import corpus, reconstruct, thermal
 # The process-wide caches of read-only tables, other than ``_basis`` (see
 # ``fresh_basis`` in test_reconstruct.py) and the grids.
 TABLE_CACHES = (
-    corpus._builtin_clean,
+    corpus._clean_table,
     reconstruct._factorial_ratios,
     reconstruct._bound_factors,
     reconstruct._cached_truth_on_grid,

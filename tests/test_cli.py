@@ -756,14 +756,27 @@ def test_sweep_rows_are_the_same_bytes_with_cold_and_warm_tables(tmp_path, monke
     assert len(csv["serial", "cold"].splitlines()) == 13
 
 
-def test_warm_tables_hold_everything_the_cells_read(fresh_tables):
+def test_warm_tables_hold_the_coefficients_and_truth_the_cells_read(fresh_tables):
     sweep = cli._sweep_from_args(cli.build_parser().parse_args(TABLE_SWEEP))
     sweep.validate()
     cli._warm_tables(sweep)
-    misses = [cache.cache_info().misses for cache in fresh_tables]
+    warmed = (corpus._clean_table, reconstruct._cached_truth_on_grid)
+    misses = [cache.cache_info().misses for cache in warmed]
     for cell in sweep.cells():
         assert not cli._sweep_cell(cell)["error"]
-    assert [cache.cache_info().misses for cache in fresh_tables] == misses
+    assert [cache.cache_info().misses for cache in warmed] == misses
+
+
+def test_warm_tables_build_no_more_than_the_cache_holds(fresh_tables):
+    size = corpus.CLEAN_CACHE_SIZE
+    ns = ",".join(str(n) for n in [3, 3, *range(size + 2, 0, -1)])
+    sweep = cli._sweep_from_args(cli.build_parser().parse_args(
+        ["sweep", "--problem", "harmonic", "--n-list", ns, "--epsilons", "0"]))  # fmt: skip
+    cli._warm_tables(sweep)
+    info = corpus._clean_table.cache_info()
+    assert (info.currsize, info.misses) == (size, size)
+    corpus._clean_table(corpus.builtin("harmonic"), 3)  # the first N is kept
+    assert corpus._clean_table.cache_info().hits == 1
 
 
 def test_pool_tasks_carry_several_cells():

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import math
 import sys
@@ -223,7 +222,7 @@ def test_noise_width_check_is_shared_with_sweep_validation():
                 sweep.validate()
 
 
-def test_noise_free_tables_of_builtins_are_shared_and_others_fresh(fresh_tables):
+def test_noise_free_tables_are_shared_and_read_only(fresh_tables):
     spec = corpus.builtin("normalized_rational")
     table = corpus.coefficients(spec, 12).values
     assert table is corpus.coefficients(spec, 12).values and not table.flags.writeable
@@ -232,12 +231,7 @@ def test_noise_free_tables_of_builtins_are_shared_and_others_fresh(fresh_tables)
     noisy = corpus.coefficients(spec, 12, 1e-3, 4)
     assert noisy.values.flags.writeable and not np.shares_memory(noisy.values, table)
     np.testing.assert_array_equal(table, [spec.coefficient_rule(k) for k in range(13)])
-    # a spec of the caller's own, even one equal to a built-in, is built afresh
-    own = dataclasses.replace(spec)
-    values = corpus.coefficients(own, 12).values
-    assert values.flags.writeable and values is not table
-    np.testing.assert_array_equal(values, table)
-    assert corpus._builtin_clean.cache_info().currsize == 1
+    assert corpus._clean_table.cache_info().currsize == 1
 
 
 def test_noise_stream_order_is_ascending_k():

@@ -782,8 +782,9 @@ def test_cached_tables_are_read_only(fresh_tables):
     assert clean is corpus.coefficients(spec, 20).values
     assert corpus.coefficients(spec, 20, 1e-3, 1).values.flags.writeable  # each draw is fresh
     xs = default_grid()
-    parts = reconstruct._truth_parts(xs, spec.jump, reconstruct.ERROR_DOMAIN)
-    assert parts is reconstruct._truth_parts(xs, spec.jump, reconstruct.ERROR_DOMAIN)
+    key = (spec.jump, xs.shape, xs.tobytes(), reconstruct.ERROR_DOMAIN, None)
+    parts = reconstruct._cached_truth_on_grid(*key)
+    assert parts is reconstruct._cached_truth_on_grid(*key)
     arrays = [clean, *(a for a in parts if isinstance(a, np.ndarray))]
     assert len(arrays) == 4  # the table, the mask, the abscissae, the truth
     for a in arrays:
