@@ -47,8 +47,8 @@ Bounded caches hold the synthesis set-up's (K-1)!/k! by K and
 C(n_max + k, k) 2^k by (K, n_max) (``_factorial_ratios``,
 ``_bound_factors``), an error's side of the truth on a grid, by truth, grid
 shape and bytes, domain and weight (``_cached_truth_on_grid``, for
-``JumpGroundTruth`` truths only), and, in ``corpus``, the built-in
-problems' noise-free tables.  The largest, ``_basis``, holds basis matrices,
+``JumpGroundTruth`` truths only), and, in ``corpus``, the noise-free
+tables by problem and N (``_clean_table``).  The largest, ``_basis``, holds basis matrices,
 keyed by the builder and the shape and bytes of the abscissa array, within
 a byte budget.  Every report resums on the same fixed grid, and the
 integral checks' quadrature nodes fall on one dyadic lattice in t = 1/x, so
