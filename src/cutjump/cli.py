@@ -419,8 +419,9 @@ def _cell_seconds(n: int, n_max: int, epsilon: float) -> float:
 # Pairs the pool won, by estimated serial work, over two runs: noisy 45 ms
 # 0-3 of 20, 60 ms 10-12, 89 ms 10-19, 109 ms 19-20; noise-free 40 ms 1-5,
 # 53 ms 11-12, 66 ms 17-18.  The break-even lies at about 55-60 ms for both
-# kinds, a little above the threshold, so the threshold stays.  The
-# estimate runs above measured serial time, 1.6-1.9 times here (60 ms
+# kinds, a little above the threshold, so the threshold stays; a later
+# sitting of the same method, its serial times noisier, put it at 45-55
+# ms.  The estimate runs above measured serial time, 1.6-1.9 times here (60 ms
 # estimated, 34-38 ms measured), in line with the median ratio of 1.77-1.88
 # that a refit over the fit's grid found; so 45 ms stands for about 25 ms
 # of serial work.  In a fresh interpreter per run, as a CLI call is, the
